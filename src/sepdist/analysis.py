@@ -12,7 +12,7 @@ eigenvector ascent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import inf, isfinite, prod, sqrt
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -23,6 +23,9 @@ from .linalg import DensityMatrix, as_matrix, contract_party, hs_inner, require_
 
 DEFAULT_STRIDE = 100
 DEFAULT_RESTARTS = 64
+# Scores the extrapolation descent keeps: a pass tries four points, so
+# eight cover the current and the previous pass.
+_RECENT_SCORES = 8
 
 
 def correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -93,8 +96,18 @@ def fit_extrapolation(
     Subsamples the trace at every ``stride``-th success, then maximizes the
     correlation between the success index and |ln(d2 - a)|^b over a in
     [0, min d2) and b in ``b_range`` by a coarse grid followed by
-    coordinate descent with shrinking steps.
+    coordinate descent with shrinking steps.  ``b_range`` must satisfy
+    ``0 < b_min <= b_max``; equal bounds fix the exponent and only ``a``
+    is searched.
+
+    The descent reuses the scores of the last eight points it tried, which
+    cover its current and previous pass; nearly every point it revisits
+    (mostly the one it just moved from) is among them.  A score is a pure
+    function of (a, b), so results do not depend on this reuse.
     """
+    b_lo, b_hi = (float(v) for v in b_range)
+    if not 0.0 < b_lo <= b_hi < inf:
+        raise ParameterError(f"b_range must satisfy 0 < b_min <= b_max < inf, got {b_range}")
     picked = _strided(trace, stride)
     if len(picked) < 10:
         raise ParameterError(f"need at least 10 trace points after striding, got {len(picked)}")
@@ -105,15 +118,21 @@ def fit_extrapolation(
     if g[-1] <= 0.0:
         raise ParameterError("trace distances must stay positive")
     dmin = float(g[-1])
+    n = g.size
+    add = np.add.reduce
+    # x is fixed, so it is centred and normed once; each descent score
+    # then centres only y, taking its mean as the same pairwise sum over
+    # the same count that ndarray.mean would.
+    xc = x - x.mean()
+    xn = sqrt(add(xc * xc))
 
     def score(a: float, b: float) -> float:
         y = np.abs(np.log(g - a)) ** b
-        yc = y - y.mean()
-        denom = np.sqrt((yc * yc).sum())
-        if denom == 0.0 or not np.isfinite(denom):
-            return -np.inf
-        xc = x - x.mean()
-        return float((yc @ xc) / (denom * np.sqrt((xc * xc).sum())))
+        yc = y - add(y) / n
+        denom = sqrt(add(yc * yc))
+        if denom == 0.0 or not isfinite(denom):
+            return -inf
+        return float(yc @ xc) / (denom * xn)
 
     # Coarse grid: log-spaced in the gap (min d2 - a) so both a ~ 0 and
     # a ~ min d2 are covered, times a linear grid in b.
@@ -121,8 +140,8 @@ def fit_extrapolation(
     a_grid = dmin - gaps
     a_grid[-1] = 0.0
     ln_abs = np.abs(np.log(g[None, :] - a_grid[:, None]))
-    best = (-np.inf, 0.0, b_range[0])
-    for b in np.linspace(b_range[0], b_range[1], b_points):
+    best = (-np.inf, 0.0, b_lo)
+    for b in np.linspace(b_lo, b_hi, b_points):
         r = _corr_with(x, ln_abs**b)
         i = int(np.argmax(r))
         if r[i] > best[0]:
@@ -131,15 +150,22 @@ def fit_extrapolation(
     r_best, a_best, b_best = best
     a_hi = dmin * (1.0 - 1e-12)
     step_a = dmin / 8.0
-    step_b = (b_range[1] - b_range[0]) / b_points
+    step_b = (b_hi - b_lo) / b_points
+    recent: dict[tuple[float, float], float] = {}
     while step_a > dmin * 1e-7 or step_b > 1e-6:
         moved = True
         while moved:
             moved = False
             for da, db in ((step_a, 0.0), (-step_a, 0.0), (0.0, step_b), (0.0, -step_b)):
                 a_try = min(max(a_best + da, 0.0), a_hi)
-                b_try = min(max(b_best + db, b_range[0]), b_range[1])
-                r_try = score(a_try, b_try)
+                b_try = min(max(b_best + db, b_lo), b_hi)
+                key = (a_try, b_try)
+                r_try = recent.pop(key, None)
+                if r_try is None:
+                    r_try = score(a_try, b_try)
+                    if len(recent) == _RECENT_SCORES:
+                        del recent[next(iter(recent))]
+                recent[key] = r_try
                 if r_try > r_best:
                     r_best, a_best, b_best = r_try, a_try, b_try
                     moved = True

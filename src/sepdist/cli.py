@@ -149,7 +149,10 @@ def cmd_run(args) -> int:
         halt_kwargs["stall_trials"] = args.stall
     if not halt_kwargs:
         halt_kwargs["stall_trials"] = 1_000_000  # guarantees termination
-    halt = gilbert.HaltCriteria(**halt_kwargs)
+    try:
+        halt = gilbert.HaltCriteria(**halt_kwargs)
+    except ParameterError as exc:
+        raise CliError(EXIT_ARGS, f"bad halt criteria: {exc}") from exc
 
     config = states.SamplerConfig(
         mode="real" if args.real_only else "complex",
@@ -256,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     fitp = sub.add_parser("fit", help="extrapolate a trace file")
     fitp.add_argument("trace", help="trace CSV path")
     fitp.add_argument("--stride", type=int, default=analysis.DEFAULT_STRIDE)
-    fitp.add_argument("--b-min", type=float, default=1.0)
-    fitp.add_argument("--b-max", type=float, default=20.0)
+    fitp.add_argument("--b-min", type=float, default=1.0, help="lower end of the exponent search range (0 < b_min <= b_max)")
+    fitp.add_argument("--b-max", type=float, default=20.0, help="upper end of the exponent search range; equal to --b-min fixes the exponent")
     fitp.add_argument("--out", help="write the report here instead of stdout")
     fitp.set_defaults(func=cmd_fit)
 

@@ -19,20 +19,12 @@ from sepdist import (
     max_sep_overlap,
     maximally_mixed,
 )
-from conftest import random_density, rng_for
+from conftest import exact_decay_trace, random_density, rng_for
 
 
-def exact_decay_trace(a, b, n=2000, gap_start=0.3, gap_end=None, trial_step=7):
-    """Trace whose transformed distances are exactly linear in the success index."""
-    if gap_end is None:
-        gap_end = max(a * 0.02, 1e-6)
-    y0 = abs(np.log(gap_start)) ** b
-    y1 = abs(np.log(gap_end)) ** b
-    records = []
-    for k in range(1, n + 1):
-        y = y0 + (y1 - y0) * (k - 1) / (n - 1)
-        records.append(TraceRecord(trial_step * k, k, a + np.exp(-(y ** (1.0 / b)))))
-    return records
+def slow_decay_trace():
+    """Same functional form as exact_decay_trace, sampled far from the asymptote."""
+    return [TraceRecord(3 * k, k, 0.002 + np.exp(-((k / 50.0) ** 0.125))) for k in range(1, 1001)]
 
 
 class TestCorrelation:
@@ -73,9 +65,7 @@ class TestFitExtrapolation:
         assert fit.r >= 0.999
 
     def test_slow_decay_generator(self):
-        # same functional form, sampled far from the asymptote
-        trace = [TraceRecord(3 * k, k, 0.002 + np.exp(-((k / 50.0) ** 0.125))) for k in range(1, 1001)]
-        fit = fit_extrapolation(trace, stride=1)
+        fit = fit_extrapolation(slow_decay_trace(), stride=1)
         assert abs(fit.a - 0.002) <= 0.1 * 0.002
         assert fit.r > 0.999
 
@@ -99,6 +89,41 @@ class TestFitExtrapolation:
         trace[10] = TraceRecord(trace[10].trials, trace[10].successes, trace[9].d2)
         with pytest.raises(ParameterError):
             fit_extrapolation(trace, stride=1)
+
+    @pytest.mark.parametrize(
+        "make_trace, expected",
+        [
+            (
+                lambda: exact_decay_trace(0.002, 8.0, n=400),
+                (0.0020000015033731196, 7.999813395738601, 0.9999999999972414),
+            ),
+            (
+                slow_decay_trace,
+                (0.002003972012244417, 7.999960929155358, 0.9999999999999728),
+            ),
+        ],
+        ids=["exact-decay", "slow-decay"],
+    )
+    def test_pinned_results(self, make_trace, expected):
+        # exact values of the grid + coordinate-descent path; any change to
+        # its arithmetic, move order or stopping rule shows up here
+        fit = fit_extrapolation(make_trace(), stride=1)
+        assert (fit.a, fit.b, fit.r) == expected
+
+    @pytest.mark.parametrize(
+        "b_range",
+        [(20.0, 1.0), (0.0, 5.0), (-1.0, 5.0), (1.0, float("inf")), (float("nan"), 5.0)],
+        ids=["reversed", "zero-min", "negative-min", "infinite-max", "nan-min"],
+    )
+    def test_bad_b_range_rejected(self, b_range):
+        with pytest.raises(ParameterError):
+            fit_extrapolation(exact_decay_trace(0.002, 8.0, n=50), stride=1, b_range=b_range)
+
+    def test_equal_b_bounds_fix_the_exponent(self):
+        fit = fit_extrapolation(exact_decay_trace(0.002, 8.0, n=400), stride=1, b_range=(8.0, 8.0))
+        assert fit.b == 8.0
+        assert abs(fit.a - 0.002) <= 0.1 * 0.002
+        assert fit.r >= 0.999
 
 
 class TestFitPower:
