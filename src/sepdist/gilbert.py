@@ -8,10 +8,16 @@ one-dimensional line search in closed form, and mixes it into the running
 separable approximation.  The squared distance d2 is therefore a
 monotonically improving upper bound on the distance between the target
 and the separable set.
+
+In the sequential run loop, trial ``t`` is ket ``t`` of the sampler's
+seeded stream: kets are drawn in chunks, and none is skipped.  How the
+stream is chunked and windowed is a speed setting only; the trace of a
+seeded run does not depend on it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -28,6 +34,11 @@ DEGENERATE_TOL = 1e-14
 REJECT_PRESELECT = "preselect-failed"
 REJECT_RANGE = "p-out-of-range"
 REJECT_DEGENERATE = "degenerate"
+
+# Speed settings of the sequential loop; results do not depend on them.
+CHUNK = 2048  # kets per sampler call
+MIN_WINDOW = 64  # kets whose iterate overlaps are computed right after an acceptance
+SPECULATIVE_BATCH = 8192  # kets per round, shared among the speculative workers
 
 
 @dataclass(frozen=True)
@@ -51,8 +62,8 @@ class HaltCriteria:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ParameterError(f"{name} must be nonnegative, got {v}")
-        if self.target_d2 is not None and self.target_d2 < 0:
-            raise ParameterError(f"target_d2 must be nonnegative, got {self.target_d2}")
+        if self.target_d2 is not None and not 0 <= self.target_d2 < math.inf:
+            raise ParameterError(f"target_d2 must be nonnegative and finite, got {self.target_d2}")
 
     def as_dict(self) -> dict:
         return {
@@ -281,27 +292,30 @@ def run(
     sampler: Optional[StateSampler] = None,
     threads: int = 1,
     refresh_every: int = 1024,
-    min_batch: int = 64,
-    max_batch: int = 8192,
 ) -> RunResult:
     """Iterate trials until a halt criterion fires.
 
     ``init`` defaults to the maximally mixed state; when a group is given
     the initial iterate is twirled once up front and every preselected
     trial is twirled (with the preselection functional re-checked on the
-    symmetrized trial).  Deterministic for a fixed sampler seed when
-    ``threads == 1``.
+    symmetrized trial).  With ``threads == 1`` trial ``t`` is ket ``t``
+    of the sampler's stream, so a seeded run is deterministic and its
+    trace does not depend on how the loop chunks the stream (``CHUNK``,
+    ``MIN_WINDOW``).  ``refresh_every`` is the number of acceptances
+    between exact recomputations of the cached inner products.
     """
     if sampler is None:
         sampler = StateSampler(config if config is not None else SamplerConfig())
     elif config is not None:
         raise ParameterError("pass either a sampler or a config, not both")
+    if refresh_every < 1:
+        raise ParameterError(f"refresh_every must be >= 1, got {refresh_every}")
     state = RunState.initial(target, init, group)
     begin = time.perf_counter()
     if threads <= 1:
-        _run_sequential(state, sampler, halt, refresh_every, min_batch, max_batch)
+        _run_sequential(state, sampler, halt, refresh_every)
     else:
-        _run_speculative(state, sampler, halt, threads, refresh_every, max_batch)
+        _run_speculative(state, sampler, halt, threads, refresh_every)
     return RunResult(state, state.trace, time.perf_counter() - begin)
 
 
@@ -365,56 +379,64 @@ class _Engine:
         self.state.approx = DensityMatrix(self.state.target.dims, self.amat)
 
 
-def _run_sequential(state, sampler, halt, refresh_every, min_batch, max_batch):
+def _run_sequential(state, sampler, halt, refresh_every):
+    """Trial ``t`` is ket ``t`` of the sampler's stream; no ket is skipped.
+
+    Kets arrive in chunks of ``CHUNK``; their target overlaps are computed
+    once per chunk.  Iterate overlaps are computed on windows that start
+    at ``MIN_WINDOW`` kets after an acceptance (the iterate moved) and
+    double while trials keep failing.  Each decision depends only on its
+    ket and the current iterate, so the trace does not depend on either
+    constant.
+    """
     engine = _Engine(state, refresh_every)
     control = _Halt(halt, state)
     dims = state.target.dims
-    batch = min_batch
+    window = MIN_WINDOW
     while not control.done:
-        want = batch
-        if halt.max_trials is not None:
-            want = min(want, halt.max_trials - state.trials)
-        if halt.stall_trials is not None:
-            stall_left = halt.stall_trials - (state.trials - control.last_success_trials)
-            want = min(want, max(stall_left, 1))
-        if want <= 0:
-            break
-        kets = sampler.product_kets(dims, want)
+        kets = sampler.product_kets(dims, CHUNK)
         q0s = _quad_forms(engine.tmat, kets)
-        q1s = _quad_forms(engine.amat, kets)
-        candidates = np.flatnonzero(q0s - q1s - engine.mu01 + engine.mu11 > 0.0)
-        cursor = 0
-        accepted_any = False
-        for idx in candidates:
-            gap = int(idx) - cursor
-            if gap:
-                allowed = control.rejection_budget(gap)
-                control.consume_rejections(allowed, gap)
-                cursor += allowed
-                if control.done:
+        start = 0
+        while start < CHUNK and not control.done:
+            stop = min(start + window, CHUNK)
+            q1s = _quad_forms(engine.amat, kets[start:stop])
+            flags = q0s[start:stop] - q1s - engine.mu01 + engine.mu11 > 0.0
+            cursor = start
+            accepted = False
+            for offset in flags.nonzero()[0]:
+                idx = start + int(offset)
+                gap = idx - cursor
+                if gap:
+                    allowed = control.rejection_budget(gap)
+                    control.consume_rejections(allowed, gap)
+                    cursor += allowed
+                    if control.done:
+                        break
+                if not control.can_consume_one():
+                    control.done = True
                     break
-            if not control.can_consume_one():
-                control.done = True
-                break
-            state.trials += 1
-            cursor += 1
-            if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[idx])):
-                accepted_any = True
-                control.note_success()
-                break  # iterate moved; the rest of the batch is stale
-            if control.rejection_budget(1) == 0:
-                control.done = True
-                break
-        else:
-            tail = want - cursor
-            if tail:
-                allowed = control.rejection_budget(tail)
-                control.consume_rejections(allowed, tail)
-        batch = min_batch if accepted_any else min(batch * 2, max_batch)
+                state.trials += 1
+                cursor += 1
+                if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset])):
+                    accepted = True
+                    control.note_success()
+                    break  # iterate moved; later kets need fresh overlaps
+                if control.rejection_budget(1) == 0:
+                    control.done = True
+                    break
+            else:
+                tail = stop - cursor
+                if tail:
+                    allowed = control.rejection_budget(tail)
+                    control.consume_rejections(allowed, tail)
+            if accepted:
+                start, window = cursor, MIN_WINDOW
+            else:
+                start, window = stop, min(2 * window, CHUNK)
     engine.finalize()
 
 
-def _run_speculative(state, sampler, halt, threads, refresh_every, max_batch):
+def _run_speculative(state, sampler, halt, threads, refresh_every):
     """Parallel trial speculation with serialized acceptance.
 
     Workers draw and preselect trial batches against a snapshot of the
@@ -428,7 +450,7 @@ def _run_speculative(state, sampler, halt, threads, refresh_every, max_batch):
     control = _Halt(halt, state)
     dims = state.target.dims
     workers = sampler.spawn(threads)
-    per_worker = max(256, max_batch // threads)
+    per_worker = max(256, SPECULATIVE_BATCH // threads)
 
     def speculate(worker, snapshot, snap_mu01, snap_mu11):
         kets = worker.product_kets(dims, per_worker)

@@ -49,6 +49,18 @@ def box_muller_real(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(np.asarray(x2))) * np.cos(2 * np.pi * np.asarray(x1))
 
 
+def _check_request(dims: tuple[int, ...], count: int) -> None:
+    for d in dims:
+        if d < 2:
+            raise ParameterError(f"state dimension must be >= 2, got {d}")
+    if count < 1:
+        raise ParameterError(f"count must be >= 1, got {count}")
+
+
+def _row_norms(amps: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1))
+
+
 class StateSampler:
     """Seeded source of random pure states and pure product states.
 
@@ -66,43 +78,63 @@ class StateSampler:
         return [StateSampler(self.config, _seed_seq=child) for child in self._seed_seq.spawn(count)]
 
     def _raw_amplitudes(self, d: int, count: int) -> np.ndarray:
+        """``count`` rows of ``d`` unnormalised amplitudes.
+
+        Each row is drawn from its own consecutive slice of the stream, so
+        one block of rows equals the same rows drawn in smaller blocks.
+        """
         cfg = self.config
         if cfg.source == "gaussian":
             if cfg.mode == "complex":
-                pairs = self._rng.standard_normal((count, d, 2))
-                return pairs[..., 0] + 1j * pairs[..., 1]
+                return self._rng.standard_normal((count, d, 2)).view(complex)[..., 0]
             return self._rng.standard_normal((count, d)).astype(complex)
-        x1 = self._rng.random((count, d))
-        x2 = 1.0 - self._rng.random((count, d))  # uniform on (0, 1], avoids log(0)
+        uniforms = self._rng.random((count, d, 2))
+        x1 = uniforms[..., 0]
+        x2 = 1.0 - uniforms[..., 1]  # uniform on (0, 1], avoids log(0)
         if cfg.mode == "complex":
             return box_muller_complex(x1, x2)
         return box_muller_real(x1, x2).astype(complex)
 
-    def pure_batch(self, d: int, count: int) -> np.ndarray:
-        """``count`` unit-norm state vectors of dimension ``d``, one per row."""
-        if d < 2:
-            raise ParameterError(f"state dimension must be >= 2, got {d}")
-        if count < 1:
-            raise ParameterError(f"count must be >= 1, got {count}")
-        amps = self._raw_amplitudes(d, count)
-        norms = np.linalg.norm(amps, axis=1)
+    def _unit_rows(self, amps: np.ndarray) -> np.ndarray:
+        """``amps`` with every row scaled to unit norm.
+
+        A row whose norm is below 1e-150 is first replaced by a fresh draw.
+        The norm is ``np.linalg.norm(amps, axis=1)``'s arithmetic without
+        its wrapper.
+        """
+        norms = _row_norms(amps)
         bad = norms < 1e-150
         while np.any(bad):  # astronomically rare, but log(1.0) inputs can stack up
-            redraw = self._raw_amplitudes(d, int(bad.sum()))
-            amps[bad] = redraw
-            norms = np.linalg.norm(amps, axis=1)
+            amps[bad] = self._raw_amplitudes(amps.shape[1], int(bad.sum()))
+            norms = _row_norms(amps)
             bad = norms < 1e-150
         return amps / norms[:, None]
+
+    def pure_batch(self, d: int, count: int) -> np.ndarray:
+        """``count`` unit-norm state vectors of dimension ``d``, one per row."""
+        _check_request((d,), count)
+        return self._unit_rows(self._raw_amplitudes(d, count))
 
     def pure(self, d: int) -> np.ndarray:
         return self.pure_batch(d, 1)[0]
 
     def product_kets(self, dims, count: int) -> np.ndarray:
-        """``count`` product-state vectors on the given parties, one per row."""
+        """``count`` product-state vectors on the given parties, one per row.
+
+        The draw is ket-major: one block of ``count`` rows of ``sum(dims)``
+        amplitudes, each row holding one ket's party amplitudes side by
+        side.  Ket ``i`` therefore depends only on its position in the
+        stream: ``product_kets(dims, n)`` equals ``product_kets(dims, k)``
+        stacked on ``product_kets(dims, n - k)`` from a same-seed sampler,
+        unless a near-zero party block had to be redrawn.
+        """
         dims = tuple(int(d) for d in dims)
-        kets = self.pure_batch(dims[0], count)
-        for d in dims[1:]:
-            factor = self.pure_batch(d, count)
+        _check_request(dims, count)
+        amps = self._raw_amplitudes(sum(dims), count)
+        ends = np.cumsum(dims)
+        kets = self._unit_rows(amps[:, : ends[0]])
+        for start, stop in zip(ends[:-1], ends[1:]):
+            factor = self._unit_rows(amps[:, start:stop])
             kets = np.einsum("ni,nj->nij", kets, factor).reshape(count, -1)
         return kets
 

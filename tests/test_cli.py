@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from sepdist import cli, fileio, fit_extrapolation
+from sepdist import cli, fileio, fit_extrapolation, named_state
 from conftest import exact_decay_trace
 
 
@@ -21,6 +22,10 @@ class TestRun:
     def test_negative_halt_value_is_an_argument_error(self, halt_args, capsys):
         assert cli.main(["run", "--state", "bell", *halt_args]) == cli.EXIT_ARGS
         assert "nonnegative" in capsys.readouterr().err
+
+    def test_non_finite_halt_target_is_an_argument_error(self):
+        # --halt-ct keeps the run finite even where a NaN target is accepted.
+        assert cli.main(["run", "--state", "bell", "--halt-d2", "nan", "--halt-ct", "1000"]) == cli.EXIT_ARGS
 
     def test_unknown_state_is_an_argument_error(self):
         assert cli.main(["run", "--state", "no_such_state", "--halt-cs", "1"]) == cli.EXIT_ARGS
@@ -66,3 +71,53 @@ class TestFit:
         path = tmp_path / "bad.csv"
         path.write_text("trials,successes\n1,2\n")
         assert cli.main(["fit", str(path)]) == cli.EXIT_IO
+
+
+class TestRunSym:
+    def test_unknown_spec_is_an_argument_error(self):
+        assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", "rotate:1"]) == cli.EXIT_ARGS
+
+    def test_bad_permutation_is_a_validation_error(self, capsys):
+        assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", "perm:0,0"]) == cli.EXIT_VALIDATION
+        assert "not a permutation" in capsys.readouterr().err
+
+    def test_non_unitary_local_factor_is_a_validation_error(self, tmp_path, capsys):
+        unitary = tmp_path / "x.json"
+        fileio.write_state(unitary, np.array([[0, 1], [1, 0]]), (2,), kind=fileio.KIND_OPERATOR)
+        scaled = tmp_path / "twice.json"
+        fileio.write_state(scaled, 2.0 * np.eye(2), (2,), kind=fileio.KIND_OPERATOR)
+        spec = f"local:{unitary},{scaled}"
+        assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", spec]) == cli.EXIT_VALIDATION
+        assert "factor 1 is not unitary" in capsys.readouterr().err
+
+
+class TestWitness:
+    def test_unknown_state_is_an_argument_error(self):
+        assert cli.main(["witness", "--state", "no_such_state", "--css", "max_entangled_css:2"]) == cli.EXIT_ARGS
+
+    def test_malformed_css_file_is_an_io_error(self, tmp_path, capsys):
+        path = tmp_path / "css.json"
+        path.write_text('{"dims": [2, 2], "kind": "density"}\n')
+        assert cli.main(["witness", "--state", "bell", "--css", str(path)]) == cli.EXIT_IO
+        assert "bad state file" in capsys.readouterr().err
+
+    def test_dims_mismatch_is_a_validation_error(self):
+        assert cli.main(["witness", "--state", "bell", "--css", "ghz:3"]) == cli.EXIT_VALIDATION
+
+    def test_unwritable_report_is_an_io_error(self, tmp_path, capsys):
+        report = tmp_path / "no_such_dir" / "report.json"
+        args = ["witness", "--state", "bell", "--css", "max_entangled_css:2", "--restarts", "1", "--report", str(report)]
+        assert cli.main(args) == cli.EXIT_IO
+        assert "cannot write" in capsys.readouterr().err
+
+
+class TestState:
+    def test_unknown_name_is_an_argument_error(self):
+        assert cli.main(["state", "no_such_state"]) == cli.EXIT_ARGS
+
+    def test_out_writes_a_loadable_state_file(self, tmp_path):
+        out = tmp_path / "ghz3.json"
+        assert cli.main(["state", "ghz:3", "--out", str(out)]) == cli.EXIT_OK
+        loaded = fileio.read_state(out)
+        assert loaded.name == "ghz:3"
+        assert np.array_equal(loaded.to_density().mat, named_state("ghz:3").mat)

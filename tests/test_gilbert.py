@@ -20,12 +20,14 @@ from sepdist import (
     hsd_sq,
     is_ppt,
     line_search,
+    local_unitary,
     maximally_mixed,
     party_permutation,
     preselect,
     run,
     step,
 )
+from sepdist import gilbert
 from conftest import random_density, rng_for
 
 BELL = bell()
@@ -46,6 +48,11 @@ class TestHaltCriteria:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             HaltCriteria(max_trials=-1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_target_d2_rejected(self, value):
+        with pytest.raises(ParameterError):
+            HaltCriteria(target_d2=value, max_trials=1000)
 
     def test_as_dict(self):
         halt = HaltCriteria(max_successes=3, target_d2=0.5)
@@ -267,6 +274,11 @@ class TestRun:
         with pytest.raises(DimensionError):
             run(BELL, HaltCriteria(max_trials=10), init=maximally_mixed((2, 3)), config=SamplerConfig(seed=0))
 
+    @pytest.mark.parametrize("refresh_every", [0, -1])
+    def test_refresh_every_must_be_positive(self, refresh_every):
+        with pytest.raises(ParameterError):
+            run(BELL, HaltCriteria(max_successes=5), config=SamplerConfig(seed=0), refresh_every=refresh_every)
+
     def test_sampler_and_config_conflict(self):
         with pytest.raises(ParameterError):
             run(
@@ -275,3 +287,63 @@ class TestRun:
                 config=SamplerConfig(seed=0),
                 sampler=StateSampler(SamplerConfig(seed=0)),
             )
+
+
+def ghz3_group():
+    dims = (2, 2, 2)
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+    generators = [
+        party_permutation((1, 0, 2), dims),
+        party_permutation((1, 2, 0), dims),
+        local_unitary([flip, flip, flip]),
+    ]
+    return closure(generators, dims)
+
+
+class CountingSampler(StateSampler):
+    def __init__(self, config):
+        super().__init__(config)
+        self.drawn = 0
+
+    def product_kets(self, dims, count):
+        self.drawn += count
+        return super().product_kets(dims, count)
+
+
+class TestKetStream:
+    """Trial t of a sequential run is ket t of the sampler's stream."""
+
+    @pytest.mark.parametrize(
+        "target,halt,group",
+        [
+            (BELL, HaltCriteria(max_successes=400), None),
+            (ghz(3), HaltCriteria(max_successes=150), "ghz3"),
+        ],
+        ids=["bell", "ghz3-sym"],
+    )
+    def test_trace_does_not_depend_on_chunking(self, target, halt, group, monkeypatch):
+        group = ghz3_group() if group == "ghz3" else None
+        reference = run(target, halt, group=group, config=SamplerConfig(seed=12))
+        for chunk, window in [(256, 64), (2048, 2048), (100, 7), (8192, 1)]:
+            monkeypatch.setattr(gilbert, "CHUNK", chunk)
+            monkeypatch.setattr(gilbert, "MIN_WINDOW", window)
+            result = run(target, halt, group=group, config=SamplerConfig(seed=12))
+            assert result.trace == reference.trace
+            assert result.state.trials == reference.state.trials
+            assert np.array_equal(result.state.approx.mat, reference.state.approx.mat)
+
+    @pytest.mark.parametrize(
+        "target,halt",
+        [
+            (BELL, HaltCriteria(max_successes=300)),
+            (BELL, HaltCriteria(max_trials=5000)),
+            (BELL, HaltCriteria(target_d2=0.4, max_trials=10**6)),
+            (css_max_entangled(2), HaltCriteria(stall_trials=3000)),
+        ],
+        ids=["successes", "trials", "distance", "stall"],
+    )
+    def test_fewer_than_one_chunk_of_kets_goes_unused(self, target, halt):
+        sampler = CountingSampler(SamplerConfig(seed=4))
+        init = target if target is not BELL else None  # the separable target starts at its own CSS
+        result = run(target, halt, init=init, sampler=sampler)
+        assert 0 <= sampler.drawn - result.state.trials < gilbert.CHUNK

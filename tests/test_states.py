@@ -28,6 +28,32 @@ WERNER = np.array([[2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 2]], dtyp
 REAL_LIMIT = np.array([[3, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 3]], dtype=complex) / 8
 
 
+class _ZeroSecondPartyOfFirstKet:
+    """Generator stand-in whose first draw zeroes the second party of ket 0.
+
+    Zero Gaussian deviates, and Box-Muller uniforms of zero (x2 = 1), both
+    give exactly zero amplitudes, so that party's norm is zero.
+    """
+
+    def __init__(self, rng, first_party, second_party):
+        self.rng = rng
+        self.columns = slice(first_party, first_party + second_party)
+        self.sizes = []
+
+    def _draw(self, method, size):
+        out = getattr(self.rng, method)(size)
+        if not self.sizes:
+            out[0, self.columns] = 0.0
+        self.sizes.append(size)
+        return out
+
+    def standard_normal(self, size):
+        return self._draw("standard_normal", size)
+
+    def random(self, size):
+        return self._draw("random", size)
+
+
 class TestSampler:
     @pytest.mark.parametrize("mode", ["complex", "real"])
     @pytest.mark.parametrize("source", ["gaussian", "box-muller"])
@@ -75,6 +101,29 @@ class TestSampler:
         b = StateSampler(cfg)
         for dims in ((2, 2), (3, 3), (2, 2, 2)):
             assert np.array_equal(a.product_kets(dims, 7), b.product_kets(dims, 7))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
+    @pytest.mark.parametrize(
+        "source,mode", [("gaussian", "complex"), ("gaussian", "real"), ("box-muller", "complex")]
+    )
+    @pytest.mark.parametrize("k", [1, 7, 29])
+    def test_product_kets_are_one_stream(self, dims, source, mode, k):
+        cfg = SamplerConfig(mode=mode, source=source, seed=8)
+        whole = StateSampler(cfg).product_kets(dims, 30)
+        split = StateSampler(cfg)
+        head = split.product_kets(dims, k)
+        tail = split.product_kets(dims, 30 - k)
+        assert np.array_equal(whole, np.vstack([head, tail]))
+
+    @pytest.mark.parametrize("source", ["gaussian", "box-muller"])
+    def test_zero_norm_party_is_redrawn(self, source, monkeypatch):
+        sampler = StateSampler(SamplerConfig(source=source, seed=6))
+        zeroed = _ZeroSecondPartyOfFirstKet(sampler._rng, first_party=2, second_party=3)
+        monkeypatch.setattr(sampler, "_rng", zeroed)
+        kets = sampler.product_kets((2, 3), 4)
+        assert zeroed.sizes == [(4, 5, 2), (1, 3, 2)]  # the block, then one redraw
+        assert np.isfinite(kets).all()
+        assert np.abs(np.linalg.norm(kets, axis=1) - 1.0).max() <= 1e-12
 
     def test_spawned_streams_differ(self):
         sampler = StateSampler(SamplerConfig(seed=1))
