@@ -246,9 +246,12 @@ def max_sep_overlap(
 
     Alternating best-response ascent: with all parties but one fixed, the
     optimal free vector is the top eigenvector of the partially contracted
-    operator.  Repeated from ``restarts`` random product starts; returns
-    the best value found and the per-party vectors achieving it.
+    operator.  Repeated from ``restarts`` random product starts (at least
+    one); returns the best value found and the per-party vectors achieving
+    it.
     """
+    if restarts < 1:
+        raise ParameterError(f"restarts must be >= 1, got {restarts}")
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2:
         raise DimensionError("need at least two parties")
@@ -260,7 +263,7 @@ def max_sep_overlap(
         rng = np.random.default_rng(0)
     best_value = -np.inf
     best_vecs: list[np.ndarray] = []
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         vecs = []
         for d in dims:
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

@@ -36,6 +36,8 @@ EXIT_ARGS = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
 
+DEFAULT_STALL = 1_000_000  # run --stall when neither --halt-ct nor --stall is given
+
 
 class CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -147,8 +149,8 @@ def cmd_run(args) -> int:
         halt_kwargs["target_d2"] = args.halt_d2
     if args.stall is not None:
         halt_kwargs["stall_trials"] = args.stall
-    if not halt_kwargs:
-        halt_kwargs["stall_trials"] = 1_000_000  # guarantees termination
+    elif args.halt_ct is None:
+        halt_kwargs["stall_trials"] = DEFAULT_STALL  # guarantees termination
     try:
         halt = gilbert.HaltCriteria(**halt_kwargs)
     except ParameterError as exc:
@@ -160,7 +162,7 @@ def cmd_run(args) -> int:
         seed=args.seed,
     )
     try:
-        result = gilbert.run(target, halt, init=init, group=group, config=config, threads=args.threads)
+        result = gilbert.run(target, halt, init=init, group=group, config=config)
     except (ValidationError, DimensionError, ParameterError) as exc:
         raise CliError(EXIT_VALIDATION, str(exc)) from exc
 
@@ -211,13 +213,16 @@ def cmd_witness(args) -> int:
             f"state dims {target.dims} do not match approximation dims {approx.dims}",
         )
     rng = np.random.default_rng(args.seed)
-    witness = analysis.build_witness(target, approx, restarts=args.restarts, rng=rng)
-    _write_or_print(fileio.dumps_json(fileio.witness_report(witness)), args.report)
-    if args.operator is not None:
+    try:
+        witness = analysis.build_witness(target, approx, restarts=args.restarts, rng=rng)
+    except ParameterError as exc:
+        raise CliError(EXIT_VALIDATION, f"cannot build witness: {exc}") from exc
+    if args.operator is not None:  # before the report: a failed write emits no report
         try:
             fileio.write_state(args.operator, witness.operator, witness.dims, kind=fileio.KIND_OPERATOR)
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot write operator {args.operator!r}: {exc}") from exc
+    _write_or_print(fileio.dumps_json(fileio.witness_report(witness)), args.report)
     return EXIT_OK
 
 
@@ -245,7 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--halt-cs", type=int, help="stop after this many accepted corrections")
     runp.add_argument("--halt-ct", type=int, help="stop after this many trials")
     runp.add_argument("--halt-d2", type=float, help="stop once d2 falls to this value")
-    runp.add_argument("--stall", type=int, help="stop after this many trials without a correction")
+    runp.add_argument(
+        "--stall",
+        type=int,
+        help=f"stop after this many trials without a correction (default {DEFAULT_STALL:_} unless --halt-ct is given)",
+    )
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--sym", action="append", default=[], help="symmetry generator: perm:0,2,1 or local:f1,f2")
     runp.add_argument("--sym-cap", type=int, default=1024, help="max group order for closure")
@@ -253,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--source", choices=list(states.SOURCES), default="gaussian")
     runp.add_argument("--trace", help="write the success trace CSV here")
     runp.add_argument("--meta", help="write run metadata JSON here")
-    runp.add_argument("--threads", type=int, default=1, help="parallel trial speculation (1 = reproducible)")
     runp.set_defaults(func=cmd_run)
 
     fitp = sub.add_parser("fit", help="extrapolate a trace file")

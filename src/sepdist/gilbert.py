@@ -9,10 +9,12 @@ separable approximation.  The squared distance d2 is therefore a
 monotonically improving upper bound on the distance between the target
 and the separable set.
 
-In the sequential run loop, trial ``t`` is ket ``t`` of the sampler's
-seeded stream: kets are drawn in chunks, and none is skipped.  How the
-stream is chunked and windowed is a speed setting only; the trace of a
-seeded run does not depend on it.
+Trials run as one sequential stream: trial ``t`` is ket ``t`` of the
+sampler's seeded stream, tested against the iterate as it stands after
+trial ``t - 1``.  The run loop draws kets in chunks and skips none; how
+the stream is chunked and windowed is a speed setting only, and the trace
+of a seeded run does not depend on it.  :func:`step` runs one trial
+through the same acceptance arithmetic (``_Engine.try_accept``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, ParameterError
-from .linalg import DensityMatrix, as_matrix, assert_valid_density, hermitize, maximally_mixed
+from .linalg import DensityMatrix, as_matrix, assert_valid_density, hermitize, hsd_sq, maximally_mixed
 from .states import SamplerConfig, StateSampler
 from .symmetry import SymmetryGroup, twirl, twirl_pure
 
@@ -35,10 +37,9 @@ REJECT_PRESELECT = "preselect-failed"
 REJECT_RANGE = "p-out-of-range"
 REJECT_DEGENERATE = "degenerate"
 
-# Speed settings of the sequential loop; results do not depend on them.
+# Speed settings of the run loop; results do not depend on them.
 CHUNK = 2048  # kets per sampler call
 MIN_WINDOW = 64  # kets whose iterate overlaps are computed right after an acceptance
-SPECULATIVE_BATCH = 8192  # kets per round, shared among the speculative workers
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class HaltCriteria:
     """Stop conditions for a run; at least one must be set.
 
     ``stall_trials`` counts trials since the last accepted correction and
-    guarantees termination on (nearly) separable targets.
+    guarantees termination on (nearly) separable targets; ``max_trials``
+    does too.  With neither, a run on such a target may never end.
     """
 
     max_successes: Optional[int] = None
@@ -76,6 +78,25 @@ class HaltCriteria:
             )
             if v is not None
         }
+
+    def reached(self, state: "RunState") -> bool:
+        """The distance target or the success target has been met."""
+        return (self.target_d2 is not None and state.d2 <= self.target_d2) or (
+            self.max_successes is not None and state.successes >= self.max_successes
+        )
+
+    def trials_left(self, state: "RunState", last_success: int) -> float:
+        """Trials that may still run before ``max_trials`` or ``stall_trials`` fires.
+
+        ``last_success`` is the trial count at the last acceptance (or at
+        the start of the run); ``math.inf`` when neither limit is set.
+        """
+        left = math.inf
+        if self.max_trials is not None:
+            left = min(left, self.max_trials - state.trials)
+        if self.stall_trials is not None:
+            left = min(left, self.stall_trials - (state.trials - last_success))
+        return left
 
 
 class TraceRecord(NamedTuple):
@@ -202,84 +223,20 @@ def step(state: RunState, sampler: StateSampler) -> StepOutcome:
     """One trial: draw, preselect, optionally twirl, line-search, update.
 
     Always increments the trial counter; on acceptance updates the
-    iterate, the distance and the trace.  This is the single-trial
-    reference path; :func:`run` batches the same arithmetic.
+    iterate, the distance and the trace.  The trial goes through the same
+    acceptance arithmetic as :func:`run`, on inner products recomputed
+    from the current iterate.
     """
     state.trials += 1
-    dims = state.target.dims
-    t = state.target.mat
-    a = state.approx.mat
-    mu00 = float(np.vdot(t, t).real)
-    mu01 = float(np.vdot(t, a).real)
-    mu11 = float(np.vdot(a, a).real)
-
-    ket = sampler.product_kets(dims, 1)[0]
-    q0 = float(np.vdot(ket, t @ ket).real)
-    q1 = float(np.vdot(ket, a @ ket).real)
-    if not q0 - q1 - mu01 + mu11 > 0.0:
-        return StepOutcome(False, reason=REJECT_PRESELECT)
-
-    if state.group is not None:
-        trial_mat = twirl_pure(ket, state.group)
-        q0 = float(np.vdot(t, trial_mat).real)
-        q1 = float(np.vdot(a, trial_mat).real)
-        s2 = float(np.vdot(trial_mat, trial_mat).real)
-    else:
-        trial_mat = np.outer(ket, ket.conj())
-        s2 = 1.0
-
-    reason, w, new_d2 = _decide(mu00, mu01, mu11, q0, q1, s2, state.d2)
+    kets = sampler.product_kets(state.target.dims, 1)
+    engine = _Engine(state, refresh_every=1)
+    q0 = float(_quad_forms(engine.tmat, kets)[0])
+    q1 = float(_quad_forms(engine.amat, kets)[0])
+    reason = engine.try_accept(kets[0], q0, q1)
     if reason is not None:
         return StepOutcome(False, reason=reason)
-
-    new_mat = w * a + (1.0 - w) * trial_mat
-    state.approx = DensityMatrix(dims, new_mat)
-    state.d2 = new_d2
-    state.successes += 1
-    record = TraceRecord(state.trials, state.successes, new_d2)
-    state.trace.append(record)
-    return StepOutcome(True, record=record)
-
-
-class _Halt:
-    """Incremental halt bookkeeping shared by the run loops."""
-
-    def __init__(self, halt: HaltCriteria, state: RunState):
-        self.halt = halt
-        self.state = state
-        self.last_success_trials = state.trials
-        self.done = self._distance_hit() or self._success_hit()
-
-    def _distance_hit(self) -> bool:
-        return self.halt.target_d2 is not None and self.state.d2 <= self.halt.target_d2
-
-    def _success_hit(self) -> bool:
-        return self.halt.max_successes is not None and self.state.successes >= self.halt.max_successes
-
-    def rejection_budget(self, wanted: int) -> int:
-        """How many consecutive rejected trials may be consumed before halting."""
-        allowed = wanted
-        if self.halt.max_trials is not None:
-            allowed = min(allowed, self.halt.max_trials - self.state.trials)
-        if self.halt.stall_trials is not None:
-            stall_left = self.halt.stall_trials - (self.state.trials - self.last_success_trials)
-            allowed = min(allowed, stall_left)
-        return max(allowed, 0)
-
-    def consume_rejections(self, count: int, wanted: int) -> None:
-        self.state.trials += count
-        if count < wanted:
-            self.done = True
-        elif self.rejection_budget(1) == 0:
-            self.done = True
-
-    def can_consume_one(self) -> bool:
-        return self.halt.max_trials is None or self.state.trials < self.halt.max_trials
-
-    def note_success(self) -> None:
-        self.last_success_trials = self.state.trials
-        if self._distance_hit() or self._success_hit():
-            self.done = True
+    state.approx = DensityMatrix(state.target.dims, engine.amat)
+    return StepOutcome(True, record=state.trace[-1])
 
 
 def run(
@@ -290,7 +247,6 @@ def run(
     group: Optional[SymmetryGroup] = None,
     config: Optional[SamplerConfig] = None,
     sampler: Optional[StateSampler] = None,
-    threads: int = 1,
     refresh_every: int = 1024,
 ) -> RunResult:
     """Iterate trials until a halt criterion fires.
@@ -298,11 +254,16 @@ def run(
     ``init`` defaults to the maximally mixed state; when a group is given
     the initial iterate is twirled once up front and every preselected
     trial is twirled (with the preselection functional re-checked on the
-    symmetrized trial).  With ``threads == 1`` trial ``t`` is ket ``t``
-    of the sampler's stream, so a seeded run is deterministic and its
-    trace does not depend on how the loop chunks the stream (``CHUNK``,
-    ``MIN_WINDOW``).  ``refresh_every`` is the number of acceptances
-    between exact recomputations of the cached inner products.
+    symmetrized trial).  Trial ``t`` is ket ``t`` of the sampler's stream,
+    so a seeded run is deterministic and its trace does not depend on how
+    the loop chunks the stream (``CHUNK``, ``MIN_WINDOW``).
+    ``refresh_every`` is the number of acceptances between exact
+    recomputations of the cached inner products.  The returned ``d2`` is
+    the exact squared distance of the returned iterate.
+
+    Without ``max_trials`` or ``stall_trials`` a run on a (nearly)
+    separable target may never end: no trial is accepted, so neither the
+    success nor the distance target is met.
     """
     if sampler is None:
         sampler = StateSampler(config if config is not None else SamplerConfig())
@@ -312,10 +273,7 @@ def run(
         raise ParameterError(f"refresh_every must be >= 1, got {refresh_every}")
     state = RunState.initial(target, init, group)
     begin = time.perf_counter()
-    if threads <= 1:
-        _run_sequential(state, sampler, halt, refresh_every)
-    else:
-        _run_speculative(state, sampler, halt, threads, refresh_every)
+    _run_loop(state, sampler, halt, refresh_every)
     return RunResult(state, state.trace, time.perf_counter() - begin)
 
 
@@ -325,7 +283,7 @@ def _quad_forms(mat: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 
 class _Engine:
-    """Cached inner products and update arithmetic for the run loops."""
+    """Cached inner products and the acceptance and update arithmetic."""
 
     def __init__(self, state: RunState, refresh_every: int):
         self.state = state
@@ -343,23 +301,24 @@ class _Engine:
         # Keep the logged distances monotone: drift corrections may not move d2 up.
         self.state.d2 = min(self.state.d2, exact) if self.state.trace else exact
 
-    def trial_quantities(self, ket: np.ndarray, q0: float, q1: float):
-        """Final (q0, q1, purity, trial matrix) after optional twirling."""
-        if self.state.group is None:
-            return q0, q1, 1.0, None
-        trial_mat = twirl_pure(ket, self.state.group)
-        return (
-            float(np.vdot(self.tmat, trial_mat).real),
-            float(np.vdot(self.amat, trial_mat).real),
-            float(np.vdot(trial_mat, trial_mat).real),
-            trial_mat,
-        )
+    def try_accept(self, ket: np.ndarray, q0: float, q1: float) -> Optional[str]:
+        """Test one counted trial; on acceptance mix it into the iterate.
 
-    def try_accept(self, ket: np.ndarray, q0: float, q1: float) -> bool:
-        q0, q1, s2, trial_mat = self.trial_quantities(ket, q0, q1)
+        ``q0``/``q1`` are the ket's overlaps with the target and the
+        iterate.  Returns the rejection reason, or ``None`` on acceptance.
+        """
+        if not q0 - q1 - self.mu01 + self.mu11 > 0.0:
+            return REJECT_PRESELECT
+        if self.state.group is None:
+            trial_mat, s2 = None, 1.0
+        else:
+            trial_mat = twirl_pure(ket, self.state.group)
+            q0 = float(np.vdot(self.tmat, trial_mat).real)
+            q1 = float(np.vdot(self.amat, trial_mat).real)
+            s2 = float(np.vdot(trial_mat, trial_mat).real)
         reason, w, new_d2 = _decide(self.mu00, self.mu01, self.mu11, q0, q1, s2, self.state.d2)
         if reason is not None:
-            return False
+            return reason
         self.amat *= w
         if trial_mat is None:
             self.amat += (1.0 - w) * np.outer(ket, ket.conj())
@@ -372,127 +331,49 @@ class _Engine:
         if self.state.successes % self.refresh_every == 0:
             self.refresh()
         self.state.trace.append(TraceRecord(self.state.trials, self.state.successes, self.state.d2))
-        return True
+        return None
 
     def finalize(self) -> None:
-        self.refresh()
-        self.state.approx = DensityMatrix(self.state.target.dims, self.amat)
+        """Store the iterate and report its exact distance, not the tracked one."""
+        self.state.approx = DensityMatrix(self.state.target.dims, hermitize(self.amat))
+        self.state.d2 = hsd_sq(self.state.target, self.state.approx)
 
 
-def _run_sequential(state, sampler, halt, refresh_every):
+def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria, refresh_every: int) -> None:
     """Trial ``t`` is ket ``t`` of the sampler's stream; no ket is skipped.
 
     Kets arrive in chunks of ``CHUNK``; their target overlaps are computed
     once per chunk.  Iterate overlaps are computed on windows that start
     at ``MIN_WINDOW`` kets after an acceptance (the iterate moved) and
-    double while trials keep failing.  Each decision depends only on its
-    ket and the current iterate, so the trace does not depend on either
+    double while trials keep failing; a window never runs past the trials
+    the halt criteria have left.  Each decision depends only on its ket
+    and the current iterate, so the trace does not depend on either
     constant.
     """
     engine = _Engine(state, refresh_every)
-    control = _Halt(halt, state)
     dims = state.target.dims
-    window = MIN_WINDOW
-    while not control.done:
-        kets = sampler.product_kets(dims, CHUNK)
-        q0s = _quad_forms(engine.tmat, kets)
-        start = 0
-        while start < CHUNK and not control.done:
-            stop = min(start + window, CHUNK)
-            q1s = _quad_forms(engine.amat, kets[start:stop])
-            flags = q0s[start:stop] - q1s - engine.mu01 + engine.mu11 > 0.0
-            cursor = start
-            accepted = False
-            for offset in flags.nonzero()[0]:
-                idx = start + int(offset)
-                gap = idx - cursor
-                if gap:
-                    allowed = control.rejection_budget(gap)
-                    control.consume_rejections(allowed, gap)
-                    cursor += allowed
-                    if control.done:
-                        break
-                if not control.can_consume_one():
-                    control.done = True
-                    break
-                state.trials += 1
-                cursor += 1
-                if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset])):
-                    accepted = True
-                    control.note_success()
-                    break  # iterate moved; later kets need fresh overlaps
-                if control.rejection_budget(1) == 0:
-                    control.done = True
-                    break
-            else:
-                tail = stop - cursor
-                if tail:
-                    allowed = control.rejection_budget(tail)
-                    control.consume_rejections(allowed, tail)
-            if accepted:
-                start, window = cursor, MIN_WINDOW
-            else:
-                start, window = stop, min(2 * window, CHUNK)
-    engine.finalize()
-
-
-def _run_speculative(state, sampler, halt, threads, refresh_every):
-    """Parallel trial speculation with serialized acceptance.
-
-    Workers draw and preselect trial batches against a snapshot of the
-    iterate; the main thread re-verifies every candidate against the
-    current iterate before accepting.  Stale candidates that fail the
-    re-check count as ordinary rejected trials.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    engine = _Engine(state, refresh_every)
-    control = _Halt(halt, state)
-    dims = state.target.dims
-    workers = sampler.spawn(threads)
-    per_worker = max(256, SPECULATIVE_BATCH // threads)
-
-    def speculate(worker, snapshot, snap_mu01, snap_mu11):
-        kets = worker.product_kets(dims, per_worker)
-        q0s = _quad_forms(engine.tmat, kets)
-        q1s = _quad_forms(snapshot, kets)
-        flags = q0s - q1s - snap_mu01 + snap_mu11 > 0.0
-        return kets, q0s, flags
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while not control.done:
-            snapshot = engine.amat.copy()
-            futures = [pool.submit(speculate, w, snapshot, engine.mu01, engine.mu11) for w in workers]
-            for fut in futures:
-                kets, q0s, flags = fut.result()
-                if control.done:
-                    continue  # drain remaining futures without consuming trials
-                cursor = 0
-                for idx in np.flatnonzero(flags):
-                    gap = int(idx) - cursor
-                    if gap:
-                        allowed = control.rejection_budget(gap)
-                        control.consume_rejections(allowed, gap)
-                        cursor += allowed
-                        if control.done:
-                            break
-                    if not control.can_consume_one():
-                        control.done = True
-                        break
-                    state.trials += 1
-                    cursor += 1
-                    ket = kets[idx]
-                    q1 = float(np.vdot(ket, engine.amat @ ket).real)  # re-verified vs current iterate
-                    if engine.try_accept(ket, float(q0s[idx]), q1):
-                        control.note_success()
-                        if control.done:
-                            break
-                    elif control.rejection_budget(1) == 0:
-                        control.done = True
-                        break
-                else:
-                    tail = per_worker - cursor
-                    if tail:
-                        allowed = control.rejection_budget(tail)
-                        control.consume_rejections(allowed, tail)
+    last_success = state.trials
+    start, window = CHUNK, MIN_WINDOW  # start == CHUNK: the chunk is used up
+    while not halt.reached(state):
+        left = halt.trials_left(state, last_success)
+        if left <= 0:
+            break
+        if start == CHUNK:
+            kets = sampler.product_kets(dims, CHUNK)
+            q0s = _quad_forms(engine.tmat, kets)
+            start = 0
+        stop = min(start + window, start + left, CHUNK)
+        q1s = _quad_forms(engine.amat, kets[start:stop])
+        flags = q0s[start:stop] - q1s - engine.mu01 + engine.mu11 > 0.0
+        before = state.trials - start  # trials counted before ket 0 of this chunk
+        for offset in flags.nonzero()[0]:
+            idx = start + int(offset)
+            state.trials = before + idx + 1
+            if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset])) is None:
+                last_success = state.trials
+                start, window = idx + 1, MIN_WINDOW  # the iterate moved; later kets need fresh overlaps
+                break
+        else:
+            state.trials = before + stop
+            start, window = stop, min(2 * window, CHUNK)
     engine.finalize()

@@ -64,18 +64,14 @@ def _row_norms(amps: np.ndarray) -> np.ndarray:
 class StateSampler:
     """Seeded source of random pure states and pure product states.
 
-    Each sampler owns its own PCG64 stream; identical configuration and
-    call sequence reproduce identical output bit for bit.  ``spawn``
-    derives independent child streams for parallel speculation.
+    Each sampler owns its own PCG64 stream, seeded from ``config.seed``;
+    identical configuration and call sequence reproduce identical output
+    bit for bit.
     """
 
-    def __init__(self, config: SamplerConfig | None = None, *, _seed_seq=None):
+    def __init__(self, config: SamplerConfig | None = None):
         self.config = config if config is not None else SamplerConfig()
-        self._seed_seq = _seed_seq if _seed_seq is not None else np.random.SeedSequence(self.config.seed)
-        self._rng = np.random.Generator(np.random.PCG64(self._seed_seq))
-
-    def spawn(self, count: int) -> list["StateSampler"]:
-        return [StateSampler(self.config, _seed_seq=child) for child in self._seed_seq.spawn(count)]
+        self._rng = np.random.default_rng(self.config.seed)
 
     def _raw_amplitudes(self, d: int, count: int) -> np.ndarray:
         """``count`` rows of ``d`` unnormalised amplitudes.

@@ -223,6 +223,11 @@ class TestMaxSepOverlap:
         assert value == pytest.approx(1.0, abs=1e-12)
         assert len(vecs) == 2
 
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_non_positive_restarts_rejected(self, restarts):
+        with pytest.raises(ParameterError):
+            max_sep_overlap(np.eye(4, dtype=complex), (2, 2), restarts=restarts)
+
     def test_product_projector(self):
         op = np.zeros((4, 4), dtype=complex)
         op[1, 1] = 1.0  # |01><01|

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sepdist import cli, fileio, fit_extrapolation, named_state
+from sepdist import cli, fileio, fit_extrapolation, gilbert, named_state
 from conftest import exact_decay_trace
 
 
@@ -40,6 +40,38 @@ class TestRun:
         assert all(b.d2 < a.d2 for a, b in zip(records, records[1:]))
         assert json.loads(meta.read_text())["c_s"] == 20
         assert "halted:" in capsys.readouterr().out
+
+
+class TestRunHalt:
+    """Which halt criteria ``run`` passes on; ``gilbert.run`` is replaced, so nothing runs."""
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        seen = []
+
+        def fake_run(target, halt, **kwargs):
+            seen.append(halt)
+            state = gilbert.RunState.initial(target, kwargs["init"])
+            return gilbert.RunResult(state, state.trace, 0.0)
+
+        monkeypatch.setattr(gilbert, "run", fake_run)
+        return seen
+
+    @pytest.mark.parametrize(
+        "halt_args,expected",
+        [
+            ([], {"stall_trials": cli.DEFAULT_STALL}),
+            (["--halt-cs", "5"], {"max_successes": 5, "stall_trials": cli.DEFAULT_STALL}),
+            (["--halt-d2", "0.1"], {"target_d2": 0.1, "stall_trials": cli.DEFAULT_STALL}),
+            (["--halt-ct", "7"], {"max_trials": 7}),
+            (["--halt-cs", "5", "--stall", "9"], {"max_successes": 5, "stall_trials": 9}),
+        ],
+        ids=["none", "successes", "distance", "trials", "stall"],
+    )
+    def test_stall_default_unless_a_trial_limit_is_given(self, captured, halt_args, expected):
+        args = ["run", "--state", "max_entangled_css:2", "--init", "max_entangled_css:2", *halt_args]
+        assert cli.main(args) == cli.EXIT_OK
+        assert [halt.as_dict() for halt in captured] == [expected]
 
 
 class TestFit:
@@ -104,6 +136,34 @@ class TestWitness:
     def test_dims_mismatch_is_a_validation_error(self):
         assert cli.main(["witness", "--state", "bell", "--css", "ghz:3"]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_non_positive_restarts_is_a_validation_error(self, restarts, capsys):
+        args = ["witness", "--state", "bell", "--css", "max_entangled_css:2", "--restarts", restarts]
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "restarts must be >= 1" in err
+
+    def test_unwritable_operator_is_an_io_error_before_any_report(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        operator = tmp_path / "no_such_dir" / "op.json"
+        base = ["witness", "--state", "bell", "--css", "max_entangled_css:2", "--restarts", "1", "--operator", str(operator)]
+        assert cli.main(base) == cli.EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot write operator" in err
+        assert cli.main([*base, "--report", str(report)]) == cli.EXIT_IO
+        assert not report.exists()
+
+    def test_operator_and_report_are_written(self, tmp_path, capsys):
+        operator = tmp_path / "op.json"
+        args = ["witness", "--state", "bell", "--css", "max_entangled_css:2", "--restarts", "2", "--operator", str(operator)]
+        assert cli.main(args) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        loaded = fileio.read_state(operator)
+        assert loaded.kind == fileio.KIND_OPERATOR
+        assert report["margin"] > 0
+
     def test_unwritable_report_is_an_io_error(self, tmp_path, capsys):
         report = tmp_path / "no_such_dir" / "report.json"
         args = ["witness", "--state", "bell", "--css", "max_entangled_css:2", "--restarts", "1", "--report", str(report)]
@@ -121,3 +181,34 @@ class TestState:
         loaded = fileio.read_state(out)
         assert loaded.name == "ghz:3"
         assert np.array_equal(loaded.to_density().mat, named_state("ghz:3").mat)
+
+
+def write_not_psd(path):
+    """A state file that parses (Hermitian, unit trace) but is not positive semidefinite."""
+    path.write_text(fileio.dumps_state(np.diag([0.7, 0.5, -0.1, -0.1]), (2, 2)))
+    return str(path)
+
+
+class TestStateFiles:
+    def test_not_psd_state_is_a_validation_error_in_run(self, tmp_path, capsys):
+        path = write_not_psd(tmp_path / "bad.json")
+        assert cli.main(["run", "--state", path, "--halt-ct", "10"]) == cli.EXIT_VALIDATION
+        assert "not positive semidefinite" in capsys.readouterr().err
+
+    def test_not_psd_state_is_a_validation_error_in_witness(self, tmp_path):
+        path = write_not_psd(tmp_path / "bad.json")
+        assert cli.main(["witness", "--state", path, "--css", "max_entangled_css:2"]) == cli.EXIT_VALIDATION
+        assert cli.main(["witness", "--state", "bell", "--css", path]) == cli.EXIT_VALIDATION
+
+    def test_operator_file_as_state_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "op.json"
+        fileio.write_state(path, named_state("bell").mat, (2, 2), kind=fileio.KIND_OPERATOR)
+        assert cli.main(["run", "--state", str(path), "--halt-ct", "10"]) == cli.EXIT_VALIDATION
+        assert "not a density matrix" in capsys.readouterr().err
+
+    def test_missing_local_matrix_file_is_an_io_error(self, tmp_path, capsys):
+        unitary = tmp_path / "x.json"
+        fileio.write_state(unitary, np.array([[0, 1], [1, 0]]), (2,), kind=fileio.KIND_OPERATOR)
+        spec = f"local:{unitary},{tmp_path / 'absent.json'}"
+        assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", spec]) == cli.EXIT_IO
+        assert "cannot read matrix file" in capsys.readouterr().err

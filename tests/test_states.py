@@ -125,11 +125,6 @@ class TestSampler:
         assert np.isfinite(kets).all()
         assert np.abs(np.linalg.norm(kets, axis=1) - 1.0).max() <= 1e-12
 
-    def test_spawned_streams_differ(self):
-        sampler = StateSampler(SamplerConfig(seed=1))
-        c1, c2 = sampler.spawn(2)
-        assert not np.array_equal(c1.pure_batch(4, 4), c2.pure_batch(4, 4))
-
     def test_bad_dimension(self):
         with pytest.raises(ParameterError):
             StateSampler(SamplerConfig(seed=0)).pure(1)
