@@ -64,7 +64,6 @@ from .states import (
     ghz,
     ghz_css_distance,
     ghz_css_weight,
-    haar_unitary,
     max_entangled,
     named_state,
     real_limit_bell,

@@ -23,6 +23,13 @@ from .linalg import DensityMatrix, as_matrix, contract_party, hs_inner, require_
 
 DEFAULT_STRIDE = 100
 DEFAULT_RESTARTS = 64
+# Coarse grid of the extrapolation fit: points in a (log-spaced gap) and in b.
+A_POINTS = 200
+B_POINTS = 96
+# Alternating ascent of max_sep_overlap: stop a restart once a sweep gains
+# no more than GAIN_TOL, or after MAX_SWEEPS sweeps.
+GAIN_TOL = 1e-12
+MAX_SWEEPS = 200
 # Scores the extrapolation descent keeps: a pass tries four points, so
 # eight cover the current and the previous pass.
 _RECENT_SCORES = 8
@@ -65,11 +72,7 @@ class PowerFit:
 def _strided(trace: Sequence[TraceRecord], stride: int):
     if stride < 1:
         raise ParameterError(f"stride must be >= 1, got {stride}")
-    if stride == 1:
-        picked = list(trace)
-    else:
-        picked = [rec for rec in trace if rec[1] % stride == 0]
-    return picked
+    return [rec for rec in trace if rec[1] % stride == 0]
 
 
 def _corr_with(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -88,17 +91,15 @@ def fit_extrapolation(
     stride: int = DEFAULT_STRIDE,
     *,
     b_range: tuple[float, float] = (1.0, 20.0),
-    a_points: int = 200,
-    b_points: int = 96,
 ) -> ExtrapolationFit:
     """Estimate the distance limit by correlation maximization.
 
     Subsamples the trace at every ``stride``-th success, then maximizes the
     correlation between the success index and |ln(d2 - a)|^b over a in
-    [0, min d2) and b in ``b_range`` by a coarse grid followed by
-    coordinate descent with shrinking steps.  ``b_range`` must satisfy
-    ``0 < b_min <= b_max``; equal bounds fix the exponent and only ``a``
-    is searched.
+    [0, min d2) and b in ``b_range`` by a coarse ``A_POINTS`` x
+    ``B_POINTS`` grid followed by coordinate descent with shrinking steps.
+    ``b_range`` must satisfy ``0 < b_min <= b_max``; equal bounds fix the
+    exponent and only ``a`` is searched.
 
     The descent reuses the scores of the last eight points it tried, which
     cover its current and previous pass; nearly every point it revisits
@@ -136,12 +137,12 @@ def fit_extrapolation(
 
     # Coarse grid: log-spaced in the gap (min d2 - a) so both a ~ 0 and
     # a ~ min d2 are covered, times a linear grid in b.
-    gaps = np.geomspace(dmin * 1e-9, dmin, a_points)
+    gaps = np.geomspace(dmin * 1e-9, dmin, A_POINTS)
     a_grid = dmin - gaps
     a_grid[-1] = 0.0
     ln_abs = np.abs(np.log(g[None, :] - a_grid[:, None]))
     best = (-np.inf, 0.0, b_lo)
-    for b in np.linspace(b_lo, b_hi, b_points):
+    for b in np.linspace(b_lo, b_hi, B_POINTS):
         r = _corr_with(x, ln_abs**b)
         i = int(np.argmax(r))
         if r[i] > best[0]:
@@ -150,7 +151,7 @@ def fit_extrapolation(
     r_best, a_best, b_best = best
     a_hi = dmin * (1.0 - 1e-12)
     step_a = dmin / 8.0
-    step_b = (b_hi - b_lo) / b_points
+    step_b = (b_hi - b_lo) / B_POINTS
     recent: dict[tuple[float, float], float] = {}
     while step_a > dmin * 1e-7 or step_b > 1e-6:
         moved = True
@@ -238,17 +239,15 @@ def max_sep_overlap(
     dims,
     restarts: int = DEFAULT_RESTARTS,
     rng: Optional[np.random.Generator] = None,
-    *,
-    gain_tol: float = 1e-12,
-    max_sweeps: int = 200,
 ) -> tuple[float, list[np.ndarray]]:
     """Largest <phi|M|phi> over product states, from below.
 
     Alternating best-response ascent: with all parties but one fixed, the
     optimal free vector is the top eigenvector of the partially contracted
     operator.  Repeated from ``restarts`` random product starts (at least
-    one); returns the best value found and the per-party vectors achieving
-    it.
+    one), each swept until a sweep gains at most ``GAIN_TOL`` or
+    ``MAX_SWEEPS`` sweeps have run; returns the best value found and the
+    per-party vectors achieving it.
     """
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
@@ -269,9 +268,9 @@ def max_sep_overlap(
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vecs.append(v / np.linalg.norm(v))
         value = -np.inf
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             new_value = _ascend_once(m, dims, vecs)
-            if new_value - value <= gain_tol:
+            if new_value - value <= GAIN_TOL:
                 value = new_value
                 break
             value = new_value

@@ -49,10 +49,9 @@ def _load_density(spec: str) -> tuple[DensityMatrix, str]:
     """Resolve a state argument: a recognized name first, then a file path."""
     try:
         return states.named_state(spec), spec
-    except ParameterError:
-        pass
-    if not os.path.exists(spec):
-        raise CliError(EXIT_ARGS, f"unknown state name (and no such file): {spec!r}")
+    except ParameterError as exc:
+        if not os.path.exists(spec):
+            raise CliError(EXIT_ARGS, f"{exc} (and no such file)") from exc
     try:
         sf = fileio.read_state(spec)
     except OSError as exc:
@@ -140,27 +139,23 @@ def cmd_run(args) -> int:
         except (ValidationError, CapacityError, DimensionError) as exc:
             raise CliError(EXIT_VALIDATION, f"cannot build symmetry group: {exc}") from exc
 
-    halt_kwargs = {}
-    if args.halt_cs is not None:
-        halt_kwargs["max_successes"] = args.halt_cs
-    if args.halt_ct is not None:
-        halt_kwargs["max_trials"] = args.halt_ct
-    if args.halt_d2 is not None:
-        halt_kwargs["target_d2"] = args.halt_d2
-    if args.stall is not None:
-        halt_kwargs["stall_trials"] = args.stall
-    elif args.halt_ct is None:
-        halt_kwargs["stall_trials"] = DEFAULT_STALL  # guarantees termination
+    stall = args.stall
+    if stall is None and args.halt_ct is None:
+        stall = DEFAULT_STALL  # guarantees termination
     try:
-        halt = gilbert.HaltCriteria(**halt_kwargs)
+        halt = gilbert.HaltCriteria(
+            max_successes=args.halt_cs,
+            max_trials=args.halt_ct,
+            target_d2=args.halt_d2,
+            stall_trials=stall,
+        )
     except ParameterError as exc:
         raise CliError(EXIT_ARGS, f"bad halt criteria: {exc}") from exc
+    try:
+        config = states.SamplerConfig(mode="real" if args.real_only else "complex", seed=args.seed)
+    except ParameterError as exc:
+        raise CliError(EXIT_ARGS, f"bad sampler settings: {exc}") from exc
 
-    config = states.SamplerConfig(
-        mode="real" if args.real_only else "complex",
-        source=args.source,
-        seed=args.seed,
-    )
     try:
         result = gilbert.run(target, halt, init=init, group=group, config=config)
     except (ValidationError, DimensionError, ParameterError) as exc:
@@ -181,6 +176,10 @@ def cmd_run(args) -> int:
             result.state.trials,
             result.state.successes,
             result.wall_seconds,
+            mode=config.mode,
+            init=args.init,
+            sym=args.sym,
+            sym_cap=args.sym_cap,
         )
         _write_or_print(fileio.dumps_json(meta), args.meta)
     final = result.state
@@ -205,6 +204,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.seed < 0:
+        raise CliError(EXIT_ARGS, f"--seed must be nonnegative, got {args.seed}")
     target, _ = _load_density(args.state)
     approx, _ = _load_density(args.css)
     if target.dims != approx.dims:
@@ -256,10 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"stop after this many trials without a correction (default {DEFAULT_STALL:_} unless --halt-ct is given)",
     )
     runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--sym", action="append", default=[], help="symmetry generator: perm:0,2,1 or local:f1,f2")
+    runp.add_argument(
+        "--sym",
+        action="append",
+        default=[],
+        help="symmetry generator, repeatable: perm:0,2,1 (party permutation) or "
+        "local:f1,f2 (one unitary per party, each an operator state file)",
+    )
     runp.add_argument("--sym-cap", type=int, default=1024, help="max group order for closure")
     runp.add_argument("--real-only", action="store_true", help="draw real-amplitude trial states")
-    runp.add_argument("--source", choices=list(states.SOURCES), default="gaussian")
     runp.add_argument("--trace", help="write the success trace CSV here")
     runp.add_argument("--meta", help="write run metadata JSON here")
     runp.set_defaults(func=cmd_run)

@@ -6,7 +6,8 @@ A state file is a single JSON document::
 
 with optional ``name`` and ``metadata`` fields.  ``kind: "density"``
 enforces the full density-matrix checks on load; ``kind: "operator"``
-only requires hermiticity (used for witness operators).  Trace files are
+holds any square matrix of the stated size (witness operators, and the
+per-party unitaries of ``sepdist run --sym local:``).  Trace files are
 CSV with the exact header ``c_t,c_s,d2``; floats are rendered with
 their shortest round-trip representation, so write -> read -> write is
 byte-identical.
@@ -24,7 +25,7 @@ import numpy as np
 from .analysis import ExtrapolationFit, PowerFit, Witness
 from .errors import FileFormatError, ValidationError
 from .gilbert import TraceRecord
-from .linalg import DensityMatrix, assert_valid_density, require_hermitian
+from .linalg import DensityMatrix, assert_valid_density
 
 TRACE_HEADER = "c_t,c_s,d2"
 
@@ -104,8 +105,6 @@ def loads_state(text: str) -> StateFile:
     if kind == KIND_DENSITY:
         rho = DensityMatrix(dims, mat)  # hermiticity/trace
         assert_valid_density(rho)  # positivity
-    else:
-        require_hermitian(mat, what="operator")
     return StateFile(
         dims=dims,
         kind=kind,
@@ -162,11 +161,26 @@ def run_metadata(
     trials: int,
     successes: int,
     wall_seconds: float,
+    *,
+    mode: str,
+    init: str,
+    sym: Sequence[str],
+    sym_cap: int,
 ) -> dict:
+    """The ``meta.json`` document of a ``sepdist run``.
+
+    Besides the outcome it records the settings the run depends on: the
+    state, seed, sampler mode, initial state, symmetry generator specs and
+    closure cap, and the halt criteria (by ``HaltCriteria`` field name).
+    """
     return {
         "state": state_name,
         "dims": [int(d) for d in dims],
         "seed": int(seed),
+        "mode": mode,
+        "init": init,
+        "sym": list(sym),
+        "sym_cap": int(sym_cap),
         "halt": halt,
         "final_d2": float(final_d2),
         "c_t": int(trials),

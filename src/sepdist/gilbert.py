@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -32,6 +32,7 @@ from .states import SamplerConfig, StateSampler
 from .symmetry import SymmetryGroup, twirl, twirl_pure
 
 DEGENERATE_TOL = 1e-14
+REFRESH_EVERY = 1024  # acceptances between exact recomputations of the cached inner products
 
 REJECT_PRESELECT = "preselect-failed"
 REJECT_RANGE = "p-out-of-range"
@@ -68,16 +69,8 @@ class HaltCriteria:
             raise ParameterError(f"target_d2 must be nonnegative and finite, got {self.target_d2}")
 
     def as_dict(self) -> dict:
-        return {
-            k: v
-            for k, v in (
-                ("max_successes", self.max_successes),
-                ("max_trials", self.max_trials),
-                ("target_d2", self.target_d2),
-                ("stall_trials", self.stall_trials),
-            )
-            if v is not None
-        }
+        """The criteria that are set, by field name."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
     def reached(self, state: "RunState") -> bool:
         """The distance target or the success target has been met."""
@@ -229,7 +222,7 @@ def step(state: RunState, sampler: StateSampler) -> StepOutcome:
     """
     state.trials += 1
     kets = sampler.product_kets(state.target.dims, 1)
-    engine = _Engine(state, refresh_every=1)
+    engine = _Engine(state)
     q0 = float(_quad_forms(engine.tmat, kets)[0])
     q1 = float(_quad_forms(engine.amat, kets)[0])
     reason = engine.try_accept(kets[0], q0, q1)
@@ -247,7 +240,6 @@ def run(
     group: Optional[SymmetryGroup] = None,
     config: Optional[SamplerConfig] = None,
     sampler: Optional[StateSampler] = None,
-    refresh_every: int = 1024,
 ) -> RunResult:
     """Iterate trials until a halt criterion fires.
 
@@ -256,10 +248,10 @@ def run(
     trial is twirled (with the preselection functional re-checked on the
     symmetrized trial).  Trial ``t`` is ket ``t`` of the sampler's stream,
     so a seeded run is deterministic and its trace does not depend on how
-    the loop chunks the stream (``CHUNK``, ``MIN_WINDOW``).
-    ``refresh_every`` is the number of acceptances between exact
-    recomputations of the cached inner products.  The returned ``d2`` is
-    the exact squared distance of the returned iterate.
+    the loop chunks the stream (``CHUNK``, ``MIN_WINDOW``).  The cached
+    inner products are recomputed exactly every ``REFRESH_EVERY``
+    acceptances, and the returned ``d2`` is the exact squared distance of
+    the returned iterate.
 
     Without ``max_trials`` or ``stall_trials`` a run on a (nearly)
     separable target may never end: no trial is accepted, so neither the
@@ -269,11 +261,9 @@ def run(
         sampler = StateSampler(config if config is not None else SamplerConfig())
     elif config is not None:
         raise ParameterError("pass either a sampler or a config, not both")
-    if refresh_every < 1:
-        raise ParameterError(f"refresh_every must be >= 1, got {refresh_every}")
     state = RunState.initial(target, init, group)
     begin = time.perf_counter()
-    _run_loop(state, sampler, halt, refresh_every)
+    _run_loop(state, sampler, halt)
     return RunResult(state, state.trace, time.perf_counter() - begin)
 
 
@@ -285,9 +275,8 @@ def _quad_forms(mat: np.ndarray, kets: np.ndarray) -> np.ndarray:
 class _Engine:
     """Cached inner products and the acceptance and update arithmetic."""
 
-    def __init__(self, state: RunState, refresh_every: int):
+    def __init__(self, state: RunState):
         self.state = state
-        self.refresh_every = refresh_every
         self.tmat = np.ascontiguousarray(state.target.mat)
         self.amat = np.array(state.approx.mat, copy=True)
         self.mu00 = float(np.vdot(self.tmat, self.tmat).real)
@@ -328,7 +317,7 @@ class _Engine:
         self.mu11 = w * w * self.mu11 + 2.0 * w * (1.0 - w) * q1 + (1.0 - w) ** 2 * s2
         self.state.d2 = new_d2
         self.state.successes += 1
-        if self.state.successes % self.refresh_every == 0:
+        if self.state.successes % REFRESH_EVERY == 0:
             self.refresh()
         self.state.trace.append(TraceRecord(self.state.trials, self.state.successes, self.state.d2))
         return None
@@ -339,7 +328,7 @@ class _Engine:
         self.state.d2 = hsd_sq(self.state.target, self.state.approx)
 
 
-def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria, refresh_every: int) -> None:
+def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> None:
     """Trial ``t`` is ket ``t`` of the sampler's stream; no ket is skipped.
 
     Kets arrive in chunks of ``CHUNK``; their target overlaps are computed
@@ -350,7 +339,7 @@ def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria, refres
     and the current iterate, so the trace does not depend on either
     constant.
     """
-    engine = _Engine(state, refresh_every)
+    engine = _Engine(state)
     dims = state.target.dims
     last_success = state.trials
     start, window = CHUNK, MIN_WINDOW  # start == CHUNK: the chunk is used up

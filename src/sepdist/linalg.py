@@ -88,10 +88,10 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.mat)[0])
 
 
-def assert_valid_density(rho: DensityMatrix, psd_tol: float = PSD_TOL) -> None:
-    """Full validity check including positive semidefiniteness."""
+def assert_valid_density(rho: DensityMatrix) -> None:
+    """Full validity check: no eigenvalue below ``-PSD_TOL``."""
     low = rho.min_eigenvalue()
-    if low < -psd_tol:
+    if low < -PSD_TOL:
         raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {low:.3e})")
 
 

@@ -1,9 +1,9 @@
 """Random product-state sampling and reference states.
 
 The sampler draws pure states with the unitarily invariant measure (the
-one induced by the Hilbert-Schmidt metric), either from paired Gaussian
-deviates or from the polar Box-Muller recipe.  Real-amplitude sampling is
-an explicit opt-in: for targets such as the two-qubit maximally entangled
+one induced by the Hilbert-Schmidt metric) by normalising vectors of
+independent complex Gaussian deviates.  Real-amplitude sampling is an
+explicit opt-in: for targets such as the two-qubit maximally entangled
 state it converges to the wrong limit, which is exactly what the
 ``real_limit_bell`` reference matrix documents.
 """
@@ -11,7 +11,6 @@ state it converges to the wrong limit, which is exactly what the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -19,34 +18,20 @@ from .errors import ParameterError
 from .linalg import DensityMatrix, maximally_mixed, pure_density
 
 MODES = ("complex", "real")
-SOURCES = ("gaussian", "box-muller")
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Sampler settings: amplitude ``mode`` (``complex`` or ``real``) and a nonnegative ``seed``."""
+
     mode: str = "complex"
-    source: str = "gaussian"
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.source not in SOURCES:
-            raise ParameterError(f"source must be one of {SOURCES}, got {self.source!r}")
-
-
-def box_muller_complex(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Normally distributed complex deviate exp(2 pi i x1) sqrt(-2 ln x2).
-
-    ``x1`` is uniform on [0, 1), ``x2`` uniform on (0, 1]; at x2 = 1 the
-    deviate is exactly zero.
-    """
-    return np.exp(2j * np.pi * np.asarray(x1)) * np.sqrt(-2.0 * np.log(np.asarray(x2)))
-
-
-def box_muller_real(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Real normal deviate sqrt(-2 ln x2) cos(2 pi x1)."""
-    return np.sqrt(-2.0 * np.log(np.asarray(x2))) * np.cos(2 * np.pi * np.asarray(x1))
+        if self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _check_request(dims: tuple[int, ...], count: int) -> None:
@@ -79,17 +64,9 @@ class StateSampler:
         Each row is drawn from its own consecutive slice of the stream, so
         one block of rows equals the same rows drawn in smaller blocks.
         """
-        cfg = self.config
-        if cfg.source == "gaussian":
-            if cfg.mode == "complex":
-                return self._rng.standard_normal((count, d, 2)).view(complex)[..., 0]
-            return self._rng.standard_normal((count, d)).astype(complex)
-        uniforms = self._rng.random((count, d, 2))
-        x1 = uniforms[..., 0]
-        x2 = 1.0 - uniforms[..., 1]  # uniform on (0, 1], avoids log(0)
-        if cfg.mode == "complex":
-            return box_muller_complex(x1, x2)
-        return box_muller_real(x1, x2).astype(complex)
+        if self.config.mode == "complex":
+            return self._rng.standard_normal((count, d, 2)).view(complex)[..., 0]
+        return self._rng.standard_normal((count, d)).astype(complex)
 
     def _unit_rows(self, amps: np.ndarray) -> np.ndarray:
         """``amps`` with every row scaled to unit norm.
@@ -100,7 +77,7 @@ class StateSampler:
         """
         norms = _row_norms(amps)
         bad = norms < 1e-150
-        while np.any(bad):  # astronomically rare, but log(1.0) inputs can stack up
+        while np.any(bad):  # astronomically rare: every Gaussian deviate of the row is ~0
             amps[bad] = self._raw_amplitudes(amps.shape[1], int(bad.sum()))
             norms = _row_norms(amps)
             bad = norms < 1e-150
@@ -265,15 +242,6 @@ def real_limit_bell() -> DensityMatrix:
     return DensityMatrix((2, 2), mat)
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary via QR with phase fixing."""
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
-
-
 _FIXED_NAMES = {
     "bell": bell,
     "upb_tiles": upb_tiles_state,
@@ -307,8 +275,6 @@ def named_state(name: str) -> DensityMatrix:
 __all__ = [
     "SamplerConfig",
     "StateSampler",
-    "box_muller_complex",
-    "box_muller_real",
     "max_entangled",
     "css_max_entangled",
     "bell",
@@ -319,7 +285,6 @@ __all__ = [
     "upb_tiles_state",
     "upb_tiles_vectors",
     "real_limit_bell",
-    "haar_unitary",
     "maximally_mixed",
     "named_state",
 ]

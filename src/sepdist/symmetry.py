@@ -88,10 +88,9 @@ def _is_local_product(mat: np.ndarray, dims: tuple[int, ...], tol: float = 1e-9)
     d0 = dims[0]
     rest = prod(dims[1:])
     tensor = mat.reshape(d0, rest, d0, rest).transpose(0, 2, 1, 3).reshape(d0 * d0, rest * rest)
-    svals = np.linalg.svd(tensor, compute_uv=False)
-    if svals.size > 1 and svals[1] > tol * max(svals[0], 1.0):
+    _, s, vh = np.linalg.svd(tensor)
+    if s.size > 1 and s[1] > tol * max(s[0], 1.0):
         return False
-    u, s, vh = np.linalg.svd(tensor)
     tail = (np.sqrt(s[0]) * vh[0]).reshape(rest, rest)
     return _is_local_product(tail, dims[1:], tol)
 
@@ -109,12 +108,14 @@ def is_separability_preserving(mat: np.ndarray, dims) -> bool:
     return False
 
 
-def closure(generators, dims, cap: int = 1024, check_separability: bool = True) -> SymmetryGroup:
+def closure(generators, dims, cap: int = 1024) -> SymmetryGroup:
     """Multiplicative closure of the generators, identity included.
 
-    Elements are deduplicated up to a global phase (the twirl channel is
-    unchanged by phases).  Raises :class:`CapacityError` if the closure
-    grows beyond ``cap`` elements.
+    Every generator must be unitary and a composition of a party
+    permutation with local unitaries (else :class:`ValidationError`), so
+    that the group preserves separability.  Elements are deduplicated up
+    to a global phase (the twirl channel is unchanged by phases).  Raises
+    :class:`CapacityError` if the closure grows beyond ``cap`` elements.
     """
     dims = tuple(int(d) for d in dims)
     total = prod(dims)
@@ -124,7 +125,7 @@ def closure(generators, dims, cap: int = 1024, check_separability: bool = True) 
         if m.shape != (total, total):
             raise DimensionError(f"generator {i} has shape {m.shape}, expected {(total, total)}")
         require_unitary(m, what=f"generator {i}")
-        if check_separability and not is_separability_preserving(m, dims):
+        if not is_separability_preserving(m, dims):
             raise ValidationError(
                 f"generator {i} is not a permutation/local-unitary composition; "
                 "it may not preserve separability"

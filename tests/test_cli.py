@@ -30,6 +30,10 @@ class TestRun:
     def test_unknown_state_is_an_argument_error(self):
         assert cli.main(["run", "--state", "no_such_state", "--halt-cs", "1"]) == cli.EXIT_ARGS
 
+    def test_bad_state_parameter_reports_its_reason(self, capsys):
+        assert cli.main(["run", "--state", "ghz:1", "--halt-cs", "1"]) == cli.EXIT_ARGS
+        assert "party count must be >= 2, got 1" in capsys.readouterr().err
+
     def test_writes_a_readable_trace(self, tmp_path, capsys):
         trace = tmp_path / "run.csv"
         meta = tmp_path / "meta.json"
@@ -40,6 +44,32 @@ class TestRun:
         assert all(b.d2 < a.d2 for a, b in zip(records, records[1:]))
         assert json.loads(meta.read_text())["c_s"] == 20
         assert "halted:" in capsys.readouterr().out
+
+    def test_meta_replays_the_run(self, tmp_path):
+        first, second, meta_path = tmp_path / "first.csv", tmp_path / "second.csv", tmp_path / "meta.json"
+        args = ["run", "--state", "bell", "--real-only", "--sym", "perm:1,0", "--seed", "5", "--halt-cs", "40"]
+        assert cli.main([*args, "--trace", str(first), "--meta", str(meta_path)]) == cli.EXIT_OK
+        meta = json.loads(meta_path.read_text())
+        halt_flags = {"max_successes": "--halt-cs", "max_trials": "--halt-ct", "target_d2": "--halt-d2", "stall_trials": "--stall"}
+        replay = ["run", "--state", meta["state"], "--seed", str(meta["seed"]), "--init", meta["init"]]
+        replay += ["--sym-cap", str(meta["sym_cap"]), *(arg for spec in meta["sym"] for arg in ("--sym", spec))]
+        replay += [arg for name, value in meta["halt"].items() for arg in (halt_flags[name], repr(value))]
+        if meta["mode"] == "real":
+            replay.append("--real-only")
+        assert cli.main([*replay, "--trace", str(second)]) == cli.EXIT_OK
+        assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--state", "bell", "--halt-cs", "1"], ["witness", "--state", "bell", "--css", "max_entangled_css:2"]],
+    ids=["run", "witness"],
+)
+def test_negative_seed_is_an_argument_error(command, capsys):
+    assert cli.main([*command, "--seed", "-1"]) == cli.EXIT_ARGS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "nonnegative" in err
 
 
 class TestRunHalt:
@@ -112,6 +142,14 @@ class TestRunSym:
     def test_bad_permutation_is_a_validation_error(self, capsys):
         assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", "perm:0,0"]) == cli.EXIT_VALIDATION
         assert "not a permutation" in capsys.readouterr().err
+
+    def test_non_hermitian_local_factors_are_accepted(self, tmp_path):
+        phase = tmp_path / "s.json"
+        fileio.write_state(phase, np.diag([1, 1j]), (2,), kind=fileio.KIND_OPERATOR)
+        phase_dagger = tmp_path / "s_dagger.json"
+        fileio.write_state(phase_dagger, np.diag([1, -1j]), (2,), kind=fileio.KIND_OPERATOR)
+        spec = f"local:{phase},{phase_dagger}"
+        assert cli.main(["run", "--state", "bell", "--sym", spec, "--halt-cs", "50"]) == cli.EXIT_OK
 
     def test_non_unitary_local_factor_is_a_validation_error(self, tmp_path, capsys):
         unitary = tmp_path / "x.json"

@@ -25,6 +25,7 @@ def test_state_round_trip_is_text_identical():
     cases = [
         (rho.mat, rho.dims, fileio.KIND_DENSITY, "random", {"seed": 11}),
         (operator, (2, 2), fileio.KIND_OPERATOR, None, None),
+        (np.diag([1, 1j]), (2,), fileio.KIND_OPERATOR, "phase gate (not Hermitian)", None),
     ]
     for mat, dims, kind, name, metadata in cases:
         text = fileio.dumps_state(mat, dims, kind=kind, name=name, metadata=metadata)

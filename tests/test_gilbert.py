@@ -287,11 +287,6 @@ class TestRun:
         with pytest.raises(DimensionError):
             run(BELL, HaltCriteria(max_trials=10), init=maximally_mixed((2, 3)), config=SamplerConfig(seed=0))
 
-    @pytest.mark.parametrize("refresh_every", [0, -1])
-    def test_refresh_every_must_be_positive(self, refresh_every):
-        with pytest.raises(ParameterError):
-            run(BELL, HaltCriteria(max_successes=5), config=SamplerConfig(seed=0), refresh_every=refresh_every)
-
     def test_sampler_and_config_conflict(self):
         with pytest.raises(ParameterError):
             run(

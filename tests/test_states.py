@@ -22,17 +22,18 @@ from sepdist import (
     upb_tiles_state,
     upb_tiles_vectors,
 )
-from sepdist.states import box_muller_complex
 
 WERNER = np.array([[2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 2]], dtype=complex) / 6
 REAL_LIMIT = np.array([[3, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 3]], dtype=complex) / 8
+# Sampler cases are named after the deviates they draw, then the amplitude mode.
+GAUSSIAN_IDS = ["gaussian-complex", "gaussian-real"]
 
 
 class _ZeroSecondPartyOfFirstKet:
     """Generator stand-in whose first draw zeroes the second party of ket 0.
 
-    Zero Gaussian deviates, and Box-Muller uniforms of zero (x2 = 1), both
-    give exactly zero amplitudes, so that party's norm is zero.
+    Zero Gaussian deviates give exactly zero amplitudes, so that party's
+    norm is zero.
     """
 
     def __init__(self, rng, first_party, second_party):
@@ -40,42 +41,30 @@ class _ZeroSecondPartyOfFirstKet:
         self.columns = slice(first_party, first_party + second_party)
         self.sizes = []
 
-    def _draw(self, method, size):
-        out = getattr(self.rng, method)(size)
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
         if not self.sizes:
             out[0, self.columns] = 0.0
         self.sizes.append(size)
         return out
 
-    def standard_normal(self, size):
-        return self._draw("standard_normal", size)
-
-    def random(self, size):
-        return self._draw("random", size)
-
 
 class TestSampler:
-    @pytest.mark.parametrize("mode", ["complex", "real"])
-    @pytest.mark.parametrize("source", ["gaussian", "box-muller"])
-    def test_unit_norm(self, mode, source):
-        sampler = StateSampler(SamplerConfig(mode=mode, source=source, seed=3))
+    @pytest.mark.parametrize("mode", ["complex", "real"], ids=GAUSSIAN_IDS)
+    def test_unit_norm(self, mode):
+        sampler = StateSampler(SamplerConfig(mode=mode, seed=3))
         kets = sampler.pure_batch(5, 200)
         assert np.abs(np.linalg.norm(kets, axis=1) - 1.0).max() <= 1e-12
 
-    def test_box_muller_unit_uniform_gives_zero(self):
-        amp = box_muller_complex(np.array([0.37]), np.array([1.0]))
-        assert amp[0] == 0.0
-
     def test_real_mode_is_real(self):
-        for source in ("gaussian", "box-muller"):
-            sampler = StateSampler(SamplerConfig(mode="real", source=source, seed=5))
-            kets = sampler.pure_batch(4, 50)
-            assert np.abs(kets.imag).max() == 0.0
+        sampler = StateSampler(SamplerConfig(mode="real", seed=5))
+        kets = sampler.pure_batch(4, 50)
+        assert np.abs(kets.imag).max() == 0.0
 
-    @pytest.mark.parametrize("source", ["gaussian", "box-muller"])
-    def test_first_component_mean(self, source):
+    @pytest.mark.parametrize("mode", ["complex"], ids=["gaussian"])
+    def test_first_component_mean(self, mode):
         # unitary invariance forces E|<0|psi>|^2 = 1/d
-        sampler = StateSampler(SamplerConfig(source=source, seed=11))
+        sampler = StateSampler(SamplerConfig(mode=mode, seed=11))
         kets = sampler.pure_batch(3, 100_000)
         mean = (np.abs(kets[:, 0]) ** 2).mean()
         assert mean == pytest.approx(1 / 3, abs=0.01)
@@ -96,28 +85,26 @@ class TestSampler:
             assert is_ppt(rho)
 
     def test_seeded_determinism(self):
-        cfg = SamplerConfig(mode="complex", source="box-muller", seed=99)
+        cfg = SamplerConfig(mode="complex", seed=99)
         a = StateSampler(cfg)
         b = StateSampler(cfg)
         for dims in ((2, 2), (3, 3), (2, 2, 2)):
             assert np.array_equal(a.product_kets(dims, 7), b.product_kets(dims, 7))
 
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2)])
-    @pytest.mark.parametrize(
-        "source,mode", [("gaussian", "complex"), ("gaussian", "real"), ("box-muller", "complex")]
-    )
+    @pytest.mark.parametrize("mode", ["complex", "real"], ids=GAUSSIAN_IDS)
     @pytest.mark.parametrize("k", [1, 7, 29])
-    def test_product_kets_are_one_stream(self, dims, source, mode, k):
-        cfg = SamplerConfig(mode=mode, source=source, seed=8)
+    def test_product_kets_are_one_stream(self, dims, mode, k):
+        cfg = SamplerConfig(mode=mode, seed=8)
         whole = StateSampler(cfg).product_kets(dims, 30)
         split = StateSampler(cfg)
         head = split.product_kets(dims, k)
         tail = split.product_kets(dims, 30 - k)
         assert np.array_equal(whole, np.vstack([head, tail]))
 
-    @pytest.mark.parametrize("source", ["gaussian", "box-muller"])
-    def test_zero_norm_party_is_redrawn(self, source, monkeypatch):
-        sampler = StateSampler(SamplerConfig(source=source, seed=6))
+    @pytest.mark.parametrize("mode", ["complex"], ids=["gaussian"])
+    def test_zero_norm_party_is_redrawn(self, mode, monkeypatch):
+        sampler = StateSampler(SamplerConfig(mode=mode, seed=6))
         zeroed = _ZeroSecondPartyOfFirstKet(sampler._rng, first_party=2, second_party=3)
         monkeypatch.setattr(sampler, "_rng", zeroed)
         kets = sampler.product_kets((2, 3), 4)
@@ -132,6 +119,10 @@ class TestSampler:
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
             SamplerConfig(mode="quaternion")
+
+    def test_negative_seed(self):
+        with pytest.raises(ParameterError):
+            SamplerConfig(seed=-1)
 
 
 class TestMaxEntangled:
