@@ -9,13 +9,11 @@ an entanglement witness.
 """
 
 from .analysis import (
-    Diagnostics,
     ExtrapolationFit,
     PowerFit,
     Witness,
     build_witness,
     correlation,
-    diagnostics,
     fit_extrapolation,
     fit_power,
     max_sep_overlap,
@@ -33,23 +31,19 @@ from .gilbert import (
     HaltCriteria,
     RunResult,
     RunState,
-    StepOutcome,
     TraceRecord,
     line_search,
     preselect,
     run,
-    step,
 )
 from .linalg import (
     DensityMatrix,
     assert_valid_density,
     contract_party,
-    eig_hermitian,
     hermitize,
     hs_inner,
     hsd_sq,
     is_ppt,
-    kron,
     maximally_mixed,
     min_eig_partial_transpose,
     partial_transpose,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite, prod, sqrt
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -189,33 +189,6 @@ def fit_power(trace: Sequence[TraceRecord]) -> PowerFit:
     return PowerFit(f=float(slope), c=float(np.exp(intercept)), r2=float(correlation(lx, ly) ** 2))
 
 
-class Diagnostics(NamedTuple):
-    commutator_norm: float
-    spectrum_target: np.ndarray
-    spectrum_approx: np.ndarray
-    spectral_d2: float
-
-
-def diagnostics(target: DensityMatrix, approx: DensityMatrix) -> Diagnostics:
-    """Commutator norm, sorted spectra, and the spectral distance proxy.
-
-    When the two states commute the squared distance equals the squared
-    Euclidean distance between the sorted spectra, so convergence can be
-    watched on eigenvalues alone.
-    """
-    if target.dims != approx.dims:
-        raise DimensionError(f"dims mismatch: {target.dims} vs {approx.dims}")
-    comm = target.mat @ approx.mat - approx.mat @ target.mat
-    spec_t = np.linalg.eigvalsh(target.mat)
-    spec_a = np.linalg.eigvalsh(approx.mat)
-    return Diagnostics(
-        commutator_norm=float(np.linalg.norm(comm)),
-        spectrum_target=spec_t,
-        spectrum_approx=spec_a,
-        spectral_d2=float(((spec_t - spec_a) ** 2).sum()),
-    )
-
-
 def _ascend_once(op: np.ndarray, dims: tuple[int, ...], vecs: list[np.ndarray]) -> float:
     """One sweep of best responses; returns the overlap after the sweep."""
     n = len(dims)
@@ -284,10 +257,13 @@ def max_sep_overlap(
 class Witness:
     """Entanglement witness built from the target and a separable approximation.
 
-    ``operator`` is (target - approx) - sep_bound * I; its expectation is
-    nonpositive on every separable state, so a positive expectation on the
-    target certifies entanglement.  ``target_value`` is Tr[target (target
-    - approx)].
+    ``operator`` is (target - approx) - sep_bound * I and ``target_value``
+    is Tr[target (target - approx)].  ``sep_bound`` comes from the
+    alternating ascent of :func:`max_sep_overlap`, which gives a lower
+    estimate of the maximum over separable states, not a bound on it.  So
+    the operator need not be nonpositive on every separable state, and
+    ``entangled`` (a positive ``margin``) is a heuristic verdict, not a
+    certificate.
     """
 
     operator: np.ndarray
@@ -315,7 +291,7 @@ def build_witness(
         raise DimensionError(f"dims mismatch: {target.dims} vs {approx.dims}")
     diff = target.mat - approx.mat
     sep_bound, _ = max_sep_overlap(diff, target.dims, restarts=restarts, rng=rng)
-    value = hs_inner(target.mat, diff, check=False)
+    value = hs_inner(target.mat, diff)
     return Witness(
         operator=diff - sep_bound * np.eye(diff.shape[0], dtype=complex),
         sep_bound=float(sep_bound),
@@ -330,8 +306,6 @@ __all__ = [
     "fit_extrapolation",
     "PowerFit",
     "fit_power",
-    "Diagnostics",
-    "diagnostics",
     "max_sep_overlap",
     "Witness",
     "build_witness",

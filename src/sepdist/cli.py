@@ -45,10 +45,10 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_density(spec: str) -> tuple[DensityMatrix, str]:
+def _load_density(spec: str) -> DensityMatrix:
     """Resolve a state argument: a recognized name first, then a file path."""
     try:
-        return states.named_state(spec), spec
+        return states.named_state(spec)
     except ParameterError as exc:
         if not os.path.exists(spec):
             raise CliError(EXIT_ARGS, f"{exc} (and no such file)") from exc
@@ -61,7 +61,7 @@ def _load_density(spec: str) -> tuple[DensityMatrix, str]:
     except (ValidationError, DimensionError) as exc:
         raise CliError(EXIT_VALIDATION, f"invalid state in {spec!r}: {exc}") from exc
     try:
-        return sf.to_density(), sf.name or spec
+        return sf.to_density()
     except (ValidationError, DimensionError) as exc:
         raise CliError(EXIT_VALIDATION, f"invalid state in {spec!r}: {exc}") from exc
 
@@ -120,14 +120,14 @@ def _write_or_print(text: str, path) -> None:
 
 
 def cmd_run(args) -> int:
-    target, state_name = _load_density(args.state)
+    target = _load_density(args.state)
     if args.dims is not None and _parse_dims(args.dims) != target.dims:
         raise CliError(EXIT_VALIDATION, f"--dims {args.dims} does not match state dims {target.dims}")
 
     if args.init == "maxmix":
         init = maximally_mixed(target.dims)
     else:
-        init, _ = _load_density(args.init)
+        init = _load_density(args.init)
     if init.dims != target.dims:
         raise CliError(EXIT_VALIDATION, f"initial state dims {init.dims} do not match target dims {target.dims}")
 
@@ -168,7 +168,7 @@ def cmd_run(args) -> int:
             raise CliError(EXIT_IO, f"cannot write trace {args.trace!r}: {exc}") from exc
     if args.meta is not None:
         meta = fileio.run_metadata(
-            state_name,
+            args.state,
             target.dims,
             args.seed,
             halt.as_dict(),
@@ -206,8 +206,8 @@ def cmd_fit(args) -> int:
 def cmd_witness(args) -> int:
     if args.seed < 0:
         raise CliError(EXIT_ARGS, f"--seed must be nonnegative, got {args.seed}")
-    target, _ = _load_density(args.state)
-    approx, _ = _load_density(args.css)
+    target = _load_density(args.state)
+    approx = _load_density(args.css)
     if target.dims != approx.dims:
         raise CliError(
             EXIT_VALIDATION,
@@ -247,7 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="iterate toward the separable set")
     runp.add_argument("--state", required=True, help="named state or state-file path")
     runp.add_argument("--dims", help="expected subsystem dimensions, e.g. 2,2 (cross-check)")
-    runp.add_argument("--init", default="maxmix", help="initial separable state: maxmix, name, or file")
+    runp.add_argument(
+        "--init",
+        default="maxmix",
+        help="initial state: maxmix, name, or file; it must be separable (one that is not PPT is "
+        "rejected, but a PPT entangled state such as upb_tiles cannot be detected)",
+    )
     runp.add_argument("--halt-cs", type=int, help="stop after this many accepted corrections")
     runp.add_argument("--halt-ct", type=int, help="stop after this many trials")
     runp.add_argument("--halt-d2", type=float, help="stop once d2 falls to this value")
@@ -262,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         help="symmetry generator, repeatable: perm:0,2,1 (party permutation) or "
-        "local:f1,f2 (one unitary per party, each an operator state file)",
+        "local:f1,f2 (one unitary per party, each an operator state file); "
+        "the group must leave the target invariant",
     )
     runp.add_argument("--sym-cap", type=int, default=1024, help="max group order for closure")
     runp.add_argument("--real-only", action="store_true", help="draw real-amplitude trial states")

@@ -170,8 +170,9 @@ def run_metadata(
     """The ``meta.json`` document of a ``sepdist run``.
 
     Besides the outcome it records the settings the run depends on: the
-    state, seed, sampler mode, initial state, symmetry generator specs and
-    closure cap, and the halt criteria (by ``HaltCriteria`` field name).
+    state argument as given (a name or a file path), seed, sampler mode,
+    initial state, symmetry generator specs and closure cap, and the halt
+    criteria (by ``HaltCriteria`` field name).
     """
     return {
         "state": state_name,

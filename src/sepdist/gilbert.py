@@ -13,8 +13,7 @@ Trials run as one sequential stream: trial ``t`` is ket ``t`` of the
 sampler's seeded stream, tested against the iterate as it stands after
 trial ``t - 1``.  The run loop draws kets in chunks and skips none; how
 the stream is chunked and windowed is a speed setting only, and the trace
-of a seeded run does not depend on it.  :func:`step` runs one trial
-through the same acceptance arithmetic (``_Engine.try_accept``).
+of a seeded run does not depend on it.
 """
 
 from __future__ import annotations
@@ -26,10 +25,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, ParameterError
-from .linalg import DensityMatrix, as_matrix, assert_valid_density, hermitize, hsd_sq, maximally_mixed
+from .errors import DegenerateError, DimensionError, ParameterError, ValidationError
+from .linalg import DensityMatrix, as_matrix, assert_valid_density, hermitize, hsd_sq, is_ppt, maximally_mixed
 from .states import SamplerConfig, StateSampler
-from .symmetry import SymmetryGroup, twirl, twirl_pure
+from .symmetry import INVARIANCE_TOL, SymmetryGroup, invariance_check, twirl, twirl_pure
 
 DEGENERATE_TOL = 1e-14
 REFRESH_EVERY = 1024  # acceptances between exact recomputations of the cached inner products
@@ -123,19 +122,20 @@ class RunState:
         if approx.dims != target.dims:
             raise DimensionError(f"initial state dims {approx.dims} differ from target dims {target.dims}")
         assert_valid_density(approx)
+        if not is_ppt(approx):
+            raise ValidationError("initial state is not PPT, so it is entangled and d2 would bound nothing")
         if group is not None:
             if group.dims != target.dims:
                 raise DimensionError(f"group dims {group.dims} differ from target dims {target.dims}")
+            defect = invariance_check(target, group)
+            if defect > INVARIANCE_TOL:
+                raise ValidationError(
+                    f"group does not leave the target invariant (defect {defect:.3e} > {INVARIANCE_TOL:.0e}); "
+                    "twirling would converge to the wrong limit"
+                )
             approx = twirl(approx, group)
         diff = target.mat - approx.mat
         return cls(target=target, approx=approx, d2=float(np.vdot(diff, diff).real), group=group)
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    accepted: bool
-    record: Optional[TraceRecord] = None
-    reason: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -212,26 +212,6 @@ def _decide(mu00, mu01, mu11, q0, q1, s2, d2):
     return None, w, new_d2
 
 
-def step(state: RunState, sampler: StateSampler) -> StepOutcome:
-    """One trial: draw, preselect, optionally twirl, line-search, update.
-
-    Always increments the trial counter; on acceptance updates the
-    iterate, the distance and the trace.  The trial goes through the same
-    acceptance arithmetic as :func:`run`, on inner products recomputed
-    from the current iterate.
-    """
-    state.trials += 1
-    kets = sampler.product_kets(state.target.dims, 1)
-    engine = _Engine(state)
-    q0 = float(_quad_forms(engine.tmat, kets)[0])
-    q1 = float(_quad_forms(engine.amat, kets)[0])
-    reason = engine.try_accept(kets[0], q0, q1)
-    if reason is not None:
-        return StepOutcome(False, reason=reason)
-    state.approx = DensityMatrix(state.target.dims, engine.amat)
-    return StepOutcome(True, record=state.trace[-1])
-
-
 def run(
     target: DensityMatrix,
     halt: HaltCriteria,
@@ -243,8 +223,13 @@ def run(
 ) -> RunResult:
     """Iterate trials until a halt criterion fires.
 
-    ``init`` defaults to the maximally mixed state; when a group is given
-    the initial iterate is twirled once up front and every preselected
+    ``init`` defaults to the maximally mixed state.  It must be separable,
+    or ``d2`` bounds nothing; an init that is not PPT raises
+    :class:`ValidationError`, but a PPT entangled init such as
+    ``upb_tiles_state()`` cannot be detected.  ``group`` must leave the
+    target invariant (:func:`symmetry.invariance_check` at most
+    ``INVARIANCE_TOL``, else :class:`ValidationError`).  When a group is
+    given the initial iterate is twirled once up front and every preselected
     trial is twirled (with the preselection functional re-checked on the
     symmetrized trial).  Trial ``t`` is ket ``t`` of the sampler's stream,
     so a seeded run is deterministic and its trace does not depend on how

@@ -1,10 +1,10 @@
 """Dense complex Hermitian matrix kernel.
 
-Inner products, squared Hilbert-Schmidt distances, tensor products,
-eigendecomposition, single-party contractions and partial transposes,
-plus validity checks for density matrices.  Everything operates on
-plain complex ``numpy`` arrays; :class:`DensityMatrix` only bundles a
-matrix with the ordered subsystem dimensions it lives on.
+Inner products, squared Hilbert-Schmidt distances, single-party
+contractions and partial transposes, plus validity checks for density
+matrices.  Everything operates on plain complex ``numpy`` arrays;
+:class:`DensityMatrix` only bundles a matrix with the ordered subsystem
+dimensions it lives on.
 """
 
 from __future__ import annotations
@@ -112,18 +112,17 @@ def _inner_raw(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, b).real)
 
 
-def hs_inner(a, b, check: bool = True) -> float:
+def hs_inner(a, b) -> float:
     """Hilbert-Schmidt inner product Tr[A B] of two Hermitian matrices.
 
-    Real and symmetric in its arguments.  With ``check`` enabled (default)
-    both operands are validated to be Hermitian within ``HERMITIAN_TOL``.
+    Real and symmetric in its arguments.  Both operands are validated to
+    be Hermitian within ``HERMITIAN_TOL``.
     """
     am, bm = as_matrix(a), as_matrix(b)
     if am.shape != bm.shape:
         raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
-    if check:
-        require_hermitian(am, what="left operand")
-        require_hermitian(bm, what="right operand")
+    require_hermitian(am, what="left operand")
+    require_hermitian(bm, what="right operand")
     return _inner_raw(am, bm)
 
 
@@ -140,22 +139,6 @@ def hsd_sq(a, b) -> float:
         raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
     diff = am - bm
     return _inner_raw(diff, diff)
-
-
-def kron(a, b, *rest) -> np.ndarray:
-    """Tensor product of two or more operators, left to right."""
-    out = np.kron(as_matrix(a), as_matrix(b))
-    for factor in rest:
-        out = np.kron(out, as_matrix(factor))
-    return out
-
-
-def eig_hermitian(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    m = as_matrix(mat)
-    require_hermitian(m)
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
 
 
 def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:

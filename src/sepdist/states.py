@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import DensityMatrix, maximally_mixed, pure_density
+from .linalg import DensityMatrix, maximally_mixed
 
 MODES = ("complex", "real")
 
@@ -83,14 +83,6 @@ class StateSampler:
             bad = norms < 1e-150
         return amps / norms[:, None]
 
-    def pure_batch(self, d: int, count: int) -> np.ndarray:
-        """``count`` unit-norm state vectors of dimension ``d``, one per row."""
-        _check_request((d,), count)
-        return self._unit_rows(self._raw_amplitudes(d, count))
-
-    def pure(self, d: int) -> np.ndarray:
-        return self.pure_batch(d, 1)[0]
-
     def product_kets(self, dims, count: int) -> np.ndarray:
         """``count`` product-state vectors on the given parties, one per row.
 
@@ -110,10 +102,6 @@ class StateSampler:
             factor = self._unit_rows(amps[:, start:stop])
             kets = np.einsum("ni,nj->nij", kets, factor).reshape(count, -1)
         return kets
-
-    def product(self, dims) -> DensityMatrix:
-        """A random pure product state as a rank-1 density matrix."""
-        return pure_density(self.product_kets(dims, 1)[0], dims)
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +166,16 @@ def css_ghz(n: int) -> DensityMatrix:
     entries) with the state that has 2^-n on the full diagonal plus the
     two far corners, using :func:`ghz_css_weight`.
     """
-    if n < 2:
-        raise ParameterError(f"party count must be >= 2, got {n}")
+    x = ghz_css_weight(n)
     total = 2**n
     corner_diag = np.zeros((total, total), dtype=complex)
     corner_diag[0, 0] = corner_diag[-1, -1] = 0.5
     flat = np.eye(total, dtype=complex)
     flat[0, -1] = flat[-1, 0] = 1.0
     flat /= total
-    # Both weights as exact integer ratios: the complement reduces to
-    # 2^(n+1)/denominator, which keeps css_ghz(2) bit-identical to the
-    # two-qubit Werner state.
-    denominator = 4 + 4**n - 2 ** (n + 1)
-    x = (2**n - 2) ** 2 / denominator
-    complement = 2 ** (n + 1) / denominator
+    # The complement 1 - x as the exact integer ratio 2^(n+1)/(4 + 4^n - 2^(n+1))
+    # keeps css_ghz(2) bit-identical to the two-qubit Werner state.
+    complement = 2 ** (n + 1) / (4 + 4**n - 2 ** (n + 1))
     return DensityMatrix((2,) * n, x * corner_diag + complement * flat)
 
 

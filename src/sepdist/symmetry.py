@@ -5,7 +5,10 @@ and deduplicated up to global phase.  Generators must preserve
 separability; the two supported kinds are tensor products of per-party
 unitaries and permutations of equal-dimension parties (and their
 compositions), both of which map product states to product states.
-Arbitrary global unitaries are rejected at construction.
+Arbitrary global unitaries are rejected at construction.  A group used to
+twirl a run must also leave the target invariant: the run then keeps the
+same limit and only searches a smaller set.  ``gilbert.run`` rejects a
+group whose :func:`invariance_check` exceeds ``INVARIANCE_TOL``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .linalg import DensityMatrix, as_matrix, hermitize, hsd_sq
 
 UNITARY_TOL = 1e-10
 DEDUP_TOL = 1e-9
+INVARIANCE_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +183,7 @@ def twirl_pure(ket: np.ndarray, group: SymmetryGroup) -> np.ndarray:
 def invariance_check(rho: DensityMatrix, group: SymmetryGroup) -> float:
     """Largest squared distance between ``rho`` and any of its group images.
 
-    Values above ~1e-10 mean the group is not a symmetry of the state.
+    Values above ``INVARIANCE_TOL`` mean the group is not a symmetry of the state.
     """
     if rho.dims != group.dims:
         raise DimensionError(f"state dims {rho.dims} differ from group dims {group.dims}")

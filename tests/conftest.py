@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepdist import DensityMatrix, TraceRecord, hermitize
+from sepdist import DensityMatrix, TraceRecord, hermitize, pure_density
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -26,6 +26,11 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def random_product_density(dims, sampler) -> DensityMatrix:
+    """A random pure product state from ``sampler``, as a rank-1 density matrix."""
+    return pure_density(sampler.product_kets(dims, 1)[0], dims)
 
 
 def exact_decay_trace(a, b, n=2000, gap_start=0.3, gap_end=None, trial_step=7):

@@ -12,12 +12,9 @@ from sepdist import (
     contract_party,
     correlation,
     css_max_entangled,
-    diagnostics,
     fit_extrapolation,
     fit_power,
-    hsd_sq,
     max_sep_overlap,
-    maximally_mixed,
 )
 from conftest import exact_decay_trace, random_density, rng_for
 
@@ -149,37 +146,6 @@ class TestFitPower:
     def test_too_short(self):
         with pytest.raises(ParameterError):
             fit_power([TraceRecord(1, 1, 0.5)])
-
-
-class TestDiagnostics:
-    def test_identical_states(self):
-        rho = css_max_entangled(2)
-        out = diagnostics(rho, rho)
-        assert out.commutator_norm == 0.0
-        assert out.spectral_d2 == 0.0
-
-    def test_bell_vs_css(self):
-        out = diagnostics(bell(), css_max_entangled(2))
-        assert out.commutator_norm <= 1e-14
-        assert out.spectral_d2 == pytest.approx(1 / 3, abs=1e-12)
-        assert np.allclose(out.spectrum_target, [0, 0, 0, 1], atol=1e-12)
-        assert np.allclose(out.spectrum_approx, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12)
-
-    def test_commuting_pair_matches_distance(self):
-        out = diagnostics(bell(), css_max_entangled(2))
-        assert out.spectral_d2 == pytest.approx(hsd_sq(bell(), css_max_entangled(2)), abs=1e-8)
-
-    def test_spectral_lower_bounds_distance(self):
-        rng = rng_for(3)
-        for _ in range(25):
-            a = random_density((2, 2), rng)
-            b = random_density((2, 2), rng)
-            out = diagnostics(a, b)
-            assert out.spectral_d2 <= hsd_sq(a, b) + 1e-10
-
-    def test_dims_mismatch(self):
-        with pytest.raises(DimensionError):
-            diagnostics(maximally_mixed((2, 2)), maximally_mixed((2, 3)))
 
 
 def _grid_scan(op_tensor, thetas, phis):

@@ -46,18 +46,33 @@ class TestRun:
         assert "halted:" in capsys.readouterr().out
 
     def test_meta_replays_the_run(self, tmp_path):
-        first, second, meta_path = tmp_path / "first.csv", tmp_path / "second.csv", tmp_path / "meta.json"
-        args = ["run", "--state", "bell", "--real-only", "--sym", "perm:1,0", "--seed", "5", "--halt-cs", "40"]
-        assert cli.main([*args, "--trace", str(first), "--meta", str(meta_path)]) == cli.EXIT_OK
-        meta = json.loads(meta_path.read_text())
+        named = tmp_path / "named.json"  # its own name field is not a state name
+        fileio.write_density(named, named_state("bell"), name="my-bell")
         halt_flags = {"max_successes": "--halt-cs", "max_trials": "--halt-ct", "target_d2": "--halt-d2", "stall_trials": "--stall"}
-        replay = ["run", "--state", meta["state"], "--seed", str(meta["seed"]), "--init", meta["init"]]
-        replay += ["--sym-cap", str(meta["sym_cap"]), *(arg for spec in meta["sym"] for arg in ("--sym", spec))]
-        replay += [arg for name, value in meta["halt"].items() for arg in (halt_flags[name], repr(value))]
-        if meta["mode"] == "real":
-            replay.append("--real-only")
-        assert cli.main([*replay, "--trace", str(second)]) == cli.EXIT_OK
-        assert second.read_bytes() == first.read_bytes()
+        for case, state in enumerate(["bell", str(named)]):
+            first, second, meta_path = (tmp_path / f"{case}-{name}" for name in ("first.csv", "second.csv", "meta.json"))
+            args = ["run", "--state", state, "--real-only", "--sym", "perm:1,0", "--seed", "5", "--halt-cs", "40"]
+            assert cli.main([*args, "--trace", str(first), "--meta", str(meta_path)]) == cli.EXIT_OK
+            meta = json.loads(meta_path.read_text())
+            replay = ["run", "--state", meta["state"], "--seed", str(meta["seed"]), "--init", meta["init"]]
+            replay += ["--sym-cap", str(meta["sym_cap"]), *(arg for spec in meta["sym"] for arg in ("--sym", spec))]
+            replay += [arg for name, value in meta["halt"].items() for arg in (halt_flags[name], repr(value))]
+            if meta["mode"] == "real":
+                replay.append("--real-only")
+            assert cli.main([*replay, "--trace", str(second)]) == cli.EXIT_OK
+            assert second.read_bytes() == first.read_bytes()
+
+    def test_entangled_init_is_a_validation_error(self, tmp_path, capsys):
+        trace = tmp_path / "run.csv"
+        code = cli.main(["run", "--state", "bell", "--init", "bell", "--halt-ct", "1000", "--trace", str(trace)])
+        assert code == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and not trace.exists()
+        assert "not PPT" in err
+
+    def test_separable_init_runs(self, capsys):
+        assert cli.main(["run", "--state", "bell", "--init", "max_entangled_css:2", "--halt-ct", "1000"]) == cli.EXIT_OK
+        assert "halted:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -150,6 +165,16 @@ class TestRunSym:
         fileio.write_state(phase_dagger, np.diag([1, -1j]), (2,), kind=fileio.KIND_OPERATOR)
         spec = f"local:{phase},{phase_dagger}"
         assert cli.main(["run", "--state", "bell", "--sym", spec, "--halt-cs", "50"]) == cli.EXIT_OK
+
+    def test_group_that_moves_the_target_is_a_validation_error(self, tmp_path, capsys):
+        flip, identity, trace = tmp_path / "x.json", tmp_path / "i.json", tmp_path / "run.csv"
+        fileio.write_state(flip, np.array([[0, 1], [1, 0]]), (2,), kind=fileio.KIND_OPERATOR)
+        fileio.write_state(identity, np.eye(2), (2,), kind=fileio.KIND_OPERATOR)
+        args = ["run", "--state", "bell", "--sym", f"local:{flip},{identity}", "--halt-cs", "50", "--trace", str(trace)]
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and not trace.exists()
+        assert "does not leave the target invariant" in err
 
     def test_non_unitary_local_factor_is_a_validation_error(self, tmp_path, capsys):
         unitary = tmp_path / "x.json"

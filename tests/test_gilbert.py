@@ -18,20 +18,22 @@ from sepdist import (
     ghz,
     ghz_css_distance,
     hsd_sq,
+    invariance_check,
     is_ppt,
     line_search,
     local_unitary,
+    max_entangled,
     maximally_mixed,
     party_permutation,
     preselect,
     run,
-    step,
 )
 from sepdist import gilbert
 from conftest import random_density, rng_for
 
 BELL = bell()
 MAXMIX = maximally_mixed((2, 2))
+FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def ket00():
@@ -160,51 +162,6 @@ def golden_section_quadratic(t, a1, a2, lo=0.0, hi=1.0, tol=1e-11):
     return (a + b) / 2
 
 
-class TestStep:
-    def test_separable_target_never_accepts(self):
-        state = RunState.initial(css_ghz(3), css_ghz(3))
-        sampler = StateSampler(SamplerConfig(seed=4))
-        for _ in range(200):
-            outcome = step(state, sampler)
-            assert not outcome.accepted
-            assert outcome.reason == "preselect-failed"
-        assert state.trials == 200
-        assert state.successes == 0
-
-    def test_accepted_step_decreases_d2(self):
-        state = RunState.initial(BELL)
-        assert state.d2 == pytest.approx(0.75, abs=1e-14)  # baseline Tr(bell - I/4)^2
-        sampler = StateSampler(SamplerConfig(seed=4))
-        seen = state.d2
-        accepted = 0
-        while accepted < 20:
-            outcome = step(state, sampler)
-            if outcome.accepted:
-                accepted += 1
-                assert outcome.record.d2 < seen
-                seen = outcome.record.d2
-        assert state.d2 < 0.75
-
-    def test_counts_trials_on_rejection(self):
-        state = RunState.initial(BELL)
-        sampler = StateSampler(SamplerConfig(seed=4))
-        before = state.trials
-        step(state, sampler)
-        assert state.trials == before + 1
-
-    def test_step_with_group_keeps_iterate_invariant(self):
-        group = closure([party_permutation((1, 0), (2, 2))], (2, 2))
-        state = RunState.initial(BELL, group=group)
-        sampler = StateSampler(SamplerConfig(seed=4))
-        swap = group.elements[1]
-        accepted = 0
-        while accepted < 5:
-            if step(state, sampler).accepted:
-                accepted += 1
-                moved = swap @ state.approx.mat @ swap.conj().T
-                assert np.abs(moved - state.approx.mat).max() <= 1e-12
-
-
 class TestRun:
     def test_bell_reaches_its_limit(self):
         result = run(BELL, HaltCriteria(max_successes=1000), config=SamplerConfig(seed=7))
@@ -277,6 +234,18 @@ class TestRun:
         result = run(BELL, HaltCriteria(max_successes=300), group=group, config=SamplerConfig(seed=7))
         assert result.state.d2 < 0.345
         assert all(a.d2 > b.d2 for a, b in zip(result.trace, result.trace[1:]))
+        assert invariance_check(result.state.approx, group) <= 1e-12
+
+    def test_group_that_moves_the_target_rejected(self):
+        # <X (x) I> maps the Bell state to an orthogonal one (invariance defect 2.0).
+        group = closure([local_unitary([FLIP, np.eye(2)])], (2, 2))
+        with pytest.raises(ValidationError, match="does not leave the target invariant"):
+            run(BELL, HaltCriteria(max_trials=10), group=group, config=SamplerConfig(seed=0))
+
+    @pytest.mark.parametrize("init", [BELL, max_entangled(3)], ids=["bell", "max_entangled-3"])
+    def test_entangled_init_rejected(self, init):
+        with pytest.raises(ValidationError, match="not PPT"):
+            run(init, HaltCriteria(max_trials=10), init=init, config=SamplerConfig(seed=0))
 
     def test_invalid_target_rejected(self):
         bad = DensityMatrix((2, 2), np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
@@ -299,11 +268,10 @@ class TestRun:
 
 def ghz3_group():
     dims = (2, 2, 2)
-    flip = np.array([[0, 1], [1, 0]], dtype=complex)
     generators = [
         party_permutation((1, 0, 2), dims),
         party_permutation((1, 2, 0), dims),
-        local_unitary([flip, flip, flip]),
+        local_unitary([FLIP, FLIP, FLIP]),
     ]
     return closure(generators, dims)
 

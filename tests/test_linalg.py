@@ -11,10 +11,8 @@ from sepdist import (
     bell,
     contract_party,
     css_max_entangled,
-    eig_hermitian,
     hs_inner,
     hsd_sq,
-    kron,
     maximally_mixed,
     partial_transpose,
     pure_density,
@@ -22,8 +20,6 @@ from sepdist import (
 from conftest import random_density, random_hermitian, random_unitary, rng_for
 
 I2 = np.eye(2, dtype=complex)
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
 
@@ -69,63 +65,13 @@ class TestHsdSq:
             hsd_sq(maximally_mixed((2, 3)), maximally_mixed((3, 2)))
 
 
-class TestKron:
-    def test_identities(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4))
-
-    def test_projector_placement(self):
-        out = kron(P0, P1)
-        expected = np.zeros((4, 4), dtype=complex)
-        expected[1, 1] = 1.0
-        assert np.array_equal(out, expected)
-
-    def test_flip_both_qubits(self):
-        v00 = np.zeros(4)
-        v00[0] = 1.0
-        assert np.array_equal(kron(SX, SX) @ v00, np.eye(4)[3])
-
-    def test_three_factors(self):
-        assert kron(I2, I2, I2).shape == (8, 8)
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        vals, _ = eig_hermitian(I2)
-        assert np.allclose(vals, [1.0, 1.0])
-
-    def test_pauli_z(self):
-        vals, vecs = eig_hermitian(SZ)
-        assert np.allclose(vals, [-1.0, 1.0])
-        assert abs(vecs[1, 0]) == pytest.approx(1.0)  # lowest eigenvector is |1>
-        assert abs(vecs[0, 1]) == pytest.approx(1.0)
-
-    def test_werner_spectrum(self):
-        vals, _ = eig_hermitian(WERNER)
-        assert np.allclose(vals, [1 / 6, 1 / 6, 1 / 6, 1 / 2], atol=1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValidationError):
-            eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-    @settings(max_examples=25, deadline=None)
-    def test_reconstruction(self, seed, d):
-        mat = random_hermitian(d, rng_for(seed))
-        vals, vecs = eig_hermitian(mat)
-        assert np.all(np.diff(vals) >= 0)
-        rebuilt = (vecs * vals) @ vecs.conj().T
-        assert np.linalg.norm(rebuilt - mat) <= 1e-9
-        residual = mat @ vecs - vecs * vals
-        assert np.linalg.norm(residual) <= 1e-9
-
-
 class TestContractParty:
     def test_identity(self):
         out = contract_party(np.eye(4, dtype=complex), 1, np.array([1, 0]), (2, 2))
         assert np.allclose(out, I2)
 
     def test_projector(self):
-        m = kron(P0, P1)
+        m = np.kron(P0, P1)
         out = contract_party(m, 1, np.array([0, 1]), (2, 2))
         assert np.allclose(out, P0)
 

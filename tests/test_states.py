@@ -22,6 +22,7 @@ from sepdist import (
     upb_tiles_state,
     upb_tiles_vectors,
 )
+from conftest import random_product_density
 
 WERNER = np.array([[2, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 2]], dtype=complex) / 6
 REAL_LIMIT = np.array([[3, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 3]], dtype=complex) / 8
@@ -53,34 +54,34 @@ class TestSampler:
     @pytest.mark.parametrize("mode", ["complex", "real"], ids=GAUSSIAN_IDS)
     def test_unit_norm(self, mode):
         sampler = StateSampler(SamplerConfig(mode=mode, seed=3))
-        kets = sampler.pure_batch(5, 200)
+        kets = sampler.product_kets((2, 3), 200)
         assert np.abs(np.linalg.norm(kets, axis=1) - 1.0).max() <= 1e-12
 
     def test_real_mode_is_real(self):
         sampler = StateSampler(SamplerConfig(mode="real", seed=5))
-        kets = sampler.pure_batch(4, 50)
+        kets = sampler.product_kets((2, 2), 50)
         assert np.abs(kets.imag).max() == 0.0
 
     @pytest.mark.parametrize("mode", ["complex"], ids=["gaussian"])
     def test_first_component_mean(self, mode):
-        # unitary invariance forces E|<0|psi>|^2 = 1/d
+        # unitary invariance on each party forces E|<00|psi>|^2 = (1/3)^2 on (3, 3)
         sampler = StateSampler(SamplerConfig(mode=mode, seed=11))
-        kets = sampler.pure_batch(3, 100_000)
+        kets = sampler.product_kets((3, 3), 100_000)
         mean = (np.abs(kets[:, 0]) ** 2).mean()
-        assert mean == pytest.approx(1 / 3, abs=0.01)
+        assert mean == pytest.approx(1 / 9, abs=0.003)
 
     def test_mean_outer_product_is_white_noise(self):
         sampler = StateSampler(SamplerConfig(seed=13))
-        kets = sampler.pure_batch(2, 100_000)
+        kets = sampler.product_kets((2, 2), 100_000)
         mean = np.einsum("ni,nj->ij", kets, kets.conj()) / kets.shape[0]
-        assert np.abs(mean - np.eye(2) / 2).max() <= 0.01
+        assert np.abs(mean - np.eye(4) / 4).max() <= 0.01
 
     def test_product_state_properties(self):
         sampler = StateSampler(SamplerConfig(seed=17))
         for _ in range(10):
-            rho = sampler.product((2, 2))
+            rho = random_product_density((2, 2), sampler)
             assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
-            purity = hs_inner(rho, rho, check=False)
+            purity = hs_inner(rho, rho)
             assert purity == pytest.approx(1.0, abs=1e-10)
             assert is_ppt(rho)
 
@@ -114,7 +115,7 @@ class TestSampler:
 
     def test_bad_dimension(self):
         with pytest.raises(ParameterError):
-            StateSampler(SamplerConfig(seed=0)).pure(1)
+            StateSampler(SamplerConfig(seed=0)).product_kets((1, 2), 1)
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -138,7 +139,7 @@ class TestMaxEntangled:
     def test_trace_and_purity(self, d):
         rho = max_entangled(d)
         assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-14)
-        assert hs_inner(rho, rho, check=False) == pytest.approx(1.0, abs=1e-12)
+        assert hs_inner(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_overlap_with_white_noise(self):
         assert hs_inner(max_entangled(3), maximally_mixed((3, 3)).mat) == pytest.approx(1 / 9, abs=1e-14)
@@ -176,7 +177,7 @@ class TestGhz:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_purity(self, n):
         rho = ghz(n)
-        assert hs_inner(rho, rho, check=False) == pytest.approx(1.0, abs=1e-12)
+        assert hs_inner(rho, rho) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCssGhz:

@@ -22,7 +22,7 @@ from sepdist import (
     twirl,
     twirl_pure,
 )
-from conftest import random_unitary, rng_for
+from conftest import random_product_density, random_unitary, rng_for
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -132,7 +132,7 @@ class TestTwirl:
         group = closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2))
         sampler = StateSampler(SamplerConfig(seed=2))
         for _ in range(5):
-            rho = sampler.product((2, 2))
+            rho = random_product_density((2, 2), sampler)
             out = twirl(rho, group)
             assert abs(np.trace(out.mat) - 1.0) <= 1e-13
             assert np.abs(out.mat - out.mat.conj().T).max() <= 1e-13
@@ -150,7 +150,7 @@ class TestTwirl:
         group = closure(gens, dims)
         sampler = StateSampler(SamplerConfig(seed=6))
         for _ in range(5):
-            assert is_ppt(twirl(sampler.product(dims), group), tol=1e-9)
+            assert is_ppt(twirl(random_product_density(dims, sampler), group), tol=1e-9)
 
     def test_twirl_pure_matches_matrix_twirl(self):
         group = closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2))
@@ -172,7 +172,7 @@ class TestTwirl:
         assert invariance_check(target, group) <= 1e-12
         sampler = StateSampler(SamplerConfig(seed=10))
         for _ in range(10):
-            rho = sampler.product((2, 2, 2))
+            rho = random_product_density((2, 2, 2), sampler)
             assert hsd_sq(target, twirl(rho, group)) <= hsd_sq(target, rho) + 1e-10
 
 
@@ -204,7 +204,7 @@ class TestPreselectionInvariance:
         assert invariance_check(approx, group) <= 1e-12
         sampler = StateSampler(SamplerConfig(seed=12))
         for _ in range(10):
-            rho2 = sampler.product((2, 2))
+            rho2 = random_product_density((2, 2), sampler)
             base = preselect(target, approx, rho2.mat)
             for u in group.elements:
                 moved = preselect(target, approx, u @ rho2.mat @ u.conj().T)
