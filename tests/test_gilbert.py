@@ -162,6 +162,19 @@ def golden_section_quadratic(t, a1, a2, lo=0.0, hi=1.0, tol=1e-11):
     return (a + b) / 2
 
 
+class TestStep:
+    def test_step_with_group_keeps_iterate_invariant(self):
+        # A seeded run is deterministic, so halting after k successes shows the
+        # iterate after each of the first five accepted steps.
+        group = closure([party_permutation((1, 0), (2, 2))], (2, 2))
+        swap = group.elements[1]
+        for accepted in range(1, 6):
+            result = run(BELL, HaltCriteria(max_successes=accepted), group=group, config=SamplerConfig(seed=4))
+            assert result.state.successes == accepted
+            moved = swap @ result.state.approx.mat @ swap.conj().T
+            assert np.abs(moved - result.state.approx.mat).max() <= 1e-12
+
+
 class TestRun:
     def test_bell_reaches_its_limit(self):
         result = run(BELL, HaltCriteria(max_successes=1000), config=SamplerConfig(seed=7))
