@@ -38,7 +38,6 @@ from .gilbert import (
 )
 from .linalg import (
     DensityMatrix,
-    assert_valid_density,
     contract_party,
     hermitize,
     hs_inner,

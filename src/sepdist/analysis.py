@@ -185,8 +185,9 @@ def fit_power(trace: Sequence[TraceRecord]) -> PowerFit:
         raise ParameterError("trace counters must be strictly positive")
     lx = np.log(ct)
     ly = np.log(cs)
+    r = correlation(lx, ly)  # raises on zero variance, before polyfit warns about the rank
     slope, intercept = np.polyfit(lx, ly, 1)
-    return PowerFit(f=float(slope), c=float(np.exp(intercept)), r2=float(correlation(lx, ly) ** 2))
+    return PowerFit(f=float(slope), c=float(np.exp(intercept)), r2=float(r**2))
 
 
 def _ascend_once(op: np.ndarray, dims: tuple[int, ...], vecs: list[np.ndarray]) -> float:

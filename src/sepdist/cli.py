@@ -7,9 +7,11 @@ Subcommands::
     witness  build an entanglement witness from a target and an approximation
     state    write a named reference state as a JSON state file
 
-Exit codes: 0 success, 2 argument errors (including unknown state names),
-3 I/O and file-format errors, 4 validation errors (bad states, dimension
-mismatches, unusable traces).
+Exit codes: 0 success, 2 for a raw argument value, 3 for I/O or a file
+format, 4 for anything the library rejects (``--stride``,
+``--b-min``/``--b-max`` and ``--restarts`` included).  ``sepdist --help``
+prints the rule in full (``EXIT_HELP``); :func:`_failures` is the one place
+that maps library errors to these codes.
 """
 
 from __future__ import annotations
@@ -17,24 +19,26 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import analysis, fileio, gilbert, states, symmetry
-from .errors import (
-    CapacityError,
-    DegenerateError,
-    DimensionError,
-    FileFormatError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import FileFormatError, ParameterError, SepdistError
 from .linalg import DensityMatrix, maximally_mixed
 
 EXIT_OK = 0
 EXIT_ARGS = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
+
+EXIT_HELP = (
+    "exit codes: 0 success; 2 a raw argument value is malformed or out of range "
+    "(halt criteria, --seed, --dims, --sym syntax, unknown state name); "
+    "3 a file cannot be read or written or does not parse; "
+    "4 the library rejects an input (invalid state, mismatched dimensions, a group that "
+    "moves the target, an unusable trace, --stride, --b-min/--b-max, --restarts)"
+)
 
 DEFAULT_STALL = 1_000_000  # run --stall when neither --halt-ct nor --stall is given
 
@@ -45,6 +49,23 @@ class CliError(Exception):
         self.code = code
 
 
+@contextmanager
+def _failures(step: str, raw: bool = False):
+    """Re-raise an error of the block as a :class:`CliError` whose message starts with ``step``.
+
+    ``OSError`` and :class:`FileFormatError` exit 3.  A :class:`ParameterError`
+    exits 2 when ``raw`` marks the block's input as a value taken as given
+    from the command line; it and every other library error exit 4 otherwise.
+    """
+    try:
+        yield
+    except (OSError, FileFormatError) as exc:
+        raise CliError(EXIT_IO, f"{step}: {exc}") from exc
+    except SepdistError as exc:
+        code = EXIT_ARGS if raw and isinstance(exc, ParameterError) else EXIT_VALIDATION
+        raise CliError(code, f"{step}: {exc}") from exc
+
+
 def _load_density(spec: str) -> DensityMatrix:
     """Resolve a state argument: a recognized name first, then a file path."""
     try:
@@ -52,18 +73,8 @@ def _load_density(spec: str) -> DensityMatrix:
     except ParameterError as exc:
         if not os.path.exists(spec):
             raise CliError(EXIT_ARGS, f"{exc} (and no such file)") from exc
-    try:
-        sf = fileio.read_state(spec)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read state file {spec!r}: {exc}") from exc
-    except FileFormatError as exc:
-        raise CliError(EXIT_IO, f"bad state file {spec!r}: {exc}") from exc
-    except (ValidationError, DimensionError) as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid state in {spec!r}: {exc}") from exc
-    try:
-        return sf.to_density()
-    except (ValidationError, DimensionError) as exc:
-        raise CliError(EXIT_VALIDATION, f"invalid state in {spec!r}: {exc}") from exc
+    with _failures(f"bad state file {spec!r}"):
+        return fileio.read_state(spec).to_density()
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -80,10 +91,8 @@ def _parse_sym(spec: str, dims: tuple[int, ...]) -> np.ndarray:
     head, _, arg = spec.partition(":")
     if head == "perm":
         perm = _parse_dims(arg)
-        try:
+        with _failures(f"bad permutation {spec!r}"):
             return symmetry.party_permutation(perm, dims)
-        except DimensionError as exc:
-            raise CliError(EXIT_VALIDATION, f"bad permutation {spec!r}: {exc}") from exc
     if head == "local":
         paths = [p for p in arg.split(",") if p]
         if len(paths) != len(dims):
@@ -93,18 +102,10 @@ def _parse_sym(spec: str, dims: tuple[int, ...]) -> np.ndarray:
             )
         factors = []
         for path in paths:
-            try:
+            with _failures(f"cannot read matrix file {path!r}"):
                 factors.append(fileio.read_state(path).mat)
-            except OSError as exc:
-                raise CliError(EXIT_IO, f"cannot read matrix file {path!r}: {exc}") from exc
-            except FileFormatError as exc:
-                raise CliError(EXIT_IO, f"bad matrix file {path!r}: {exc}") from exc
-            except (ValidationError, DimensionError) as exc:
-                raise CliError(EXIT_VALIDATION, f"invalid matrix in {path!r}: {exc}") from exc
-        try:
+        with _failures(f"bad local generator {spec!r}"):
             return symmetry.local_unitary(factors)
-        except (ValidationError, DimensionError) as exc:
-            raise CliError(EXIT_VALIDATION, f"bad local generator {spec!r}: {exc}") from exc
     raise CliError(EXIT_ARGS, f"unknown symmetry spec {spec!r} (use perm:... or local:...)")
 
 
@@ -112,60 +113,41 @@ def _write_or_print(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {path!r}: {exc}") from exc
+    with _failures(f"cannot write {path!r}"), open(path, "w", encoding="utf-8") as fp:
+        fp.write(text)
 
 
 def cmd_run(args) -> int:
     target = _load_density(args.state)
     if args.dims is not None and _parse_dims(args.dims) != target.dims:
         raise CliError(EXIT_VALIDATION, f"--dims {args.dims} does not match state dims {target.dims}")
-
-    if args.init == "maxmix":
-        init = maximally_mixed(target.dims)
-    else:
-        init = _load_density(args.init)
-    if init.dims != target.dims:
-        raise CliError(EXIT_VALIDATION, f"initial state dims {init.dims} do not match target dims {target.dims}")
+    init = maximally_mixed(target.dims) if args.init == "maxmix" else _load_density(args.init)
 
     group = None
     if args.sym:
         generators = [_parse_sym(spec, target.dims) for spec in args.sym]
-        try:
+        with _failures("cannot build symmetry group"):
             group = symmetry.closure(generators, target.dims, cap=args.sym_cap)
-        except (ValidationError, CapacityError, DimensionError) as exc:
-            raise CliError(EXIT_VALIDATION, f"cannot build symmetry group: {exc}") from exc
 
     stall = args.stall
     if stall is None and args.halt_ct is None:
         stall = DEFAULT_STALL  # guarantees termination
-    try:
+    with _failures("bad halt criteria", raw=True):
         halt = gilbert.HaltCriteria(
             max_successes=args.halt_cs,
             max_trials=args.halt_ct,
             target_d2=args.halt_d2,
             stall_trials=stall,
         )
-    except ParameterError as exc:
-        raise CliError(EXIT_ARGS, f"bad halt criteria: {exc}") from exc
-    try:
+    with _failures("bad sampler settings", raw=True):
         config = states.SamplerConfig(mode="real" if args.real_only else "complex", seed=args.seed)
-    except ParameterError as exc:
-        raise CliError(EXIT_ARGS, f"bad sampler settings: {exc}") from exc
 
-    try:
+    with _failures("cannot run"):
         result = gilbert.run(target, halt, init=init, group=group, config=config)
-    except (ValidationError, DimensionError, ParameterError) as exc:
-        raise CliError(EXIT_VALIDATION, str(exc)) from exc
 
     if args.trace is not None:
-        try:
+        with _failures(f"cannot write trace {args.trace!r}"):
             fileio.write_trace(args.trace, result.trace)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write trace {args.trace!r}: {exc}") from exc
     if args.meta is not None:
         meta = fileio.run_metadata(
             args.state,
@@ -188,17 +170,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
+    with _failures(f"cannot read trace {args.trace!r}"):
         trace = fileio.read_trace(args.trace)
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read trace {args.trace!r}: {exc}") from exc
-    except FileFormatError as exc:
-        raise CliError(EXIT_IO, f"bad trace file {args.trace!r}: {exc}") from exc
-    try:
+    with _failures("cannot fit trace"):
         ext = analysis.fit_extrapolation(trace, stride=args.stride, b_range=(args.b_min, args.b_max))
         power = analysis.fit_power(trace)
-    except (ParameterError, DegenerateError) as exc:
-        raise CliError(EXIT_VALIDATION, f"cannot fit trace: {exc}") from exc
     _write_or_print(fileio.dumps_json(fileio.fit_report(ext, power)), args.out)
     return EXIT_OK
 
@@ -208,30 +184,19 @@ def cmd_witness(args) -> int:
         raise CliError(EXIT_ARGS, f"--seed must be nonnegative, got {args.seed}")
     target = _load_density(args.state)
     approx = _load_density(args.css)
-    if target.dims != approx.dims:
-        raise CliError(
-            EXIT_VALIDATION,
-            f"state dims {target.dims} do not match approximation dims {approx.dims}",
-        )
     rng = np.random.default_rng(args.seed)
-    try:
+    with _failures("cannot build witness"):
         witness = analysis.build_witness(target, approx, restarts=args.restarts, rng=rng)
-    except ParameterError as exc:
-        raise CliError(EXIT_VALIDATION, f"cannot build witness: {exc}") from exc
     if args.operator is not None:  # before the report: a failed write emits no report
-        try:
+        with _failures(f"cannot write operator {args.operator!r}"):
             fileio.write_state(args.operator, witness.operator, witness.dims, kind=fileio.KIND_OPERATOR)
-        except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write operator {args.operator!r}: {exc}") from exc
     _write_or_print(fileio.dumps_json(fileio.witness_report(witness)), args.report)
     return EXIT_OK
 
 
 def cmd_state(args) -> int:
-    try:
+    with _failures("cannot build state", raw=True):
         rho = states.named_state(args.name)
-    except ParameterError as exc:
-        raise CliError(EXIT_ARGS, str(exc)) from exc
     text = fileio.dumps_state(rho.mat, rho.dims, kind=fileio.KIND_DENSITY, name=args.name)
     _write_or_print(text, args.out)
     return EXIT_OK
@@ -241,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sepdist",
         description="Upper bounds on the Hilbert-Schmidt distance to the separable set.",
+        epilog=EXIT_HELP,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,8 +8,9 @@ with optional ``name`` and ``metadata`` fields.  ``kind: "density"``
 enforces the full density-matrix checks on load; ``kind: "operator"``
 holds any square matrix of the stated size (witness operators, and the
 per-party unitaries of ``sepdist run --sym local:``).  Trace files are
-CSV with the exact header ``c_t,c_s,d2``; floats are rendered with
-their shortest round-trip representation, so write -> read -> write is
+CSV with the exact header ``c_t,c_s,d2``; a ``d2`` that is not finite
+(``inf``, ``nan``) is a format error.  Floats are rendered with their
+shortest round-trip representation, so write -> read -> write is
 byte-identical.
 """
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ import numpy as np
 from .analysis import ExtrapolationFit, PowerFit, Witness
 from .errors import FileFormatError, ValidationError
 from .gilbert import TraceRecord
-from .linalg import DensityMatrix, assert_valid_density
+from .linalg import DensityMatrix
 
 TRACE_HEADER = "c_t,c_s,d2"
 
@@ -46,9 +47,7 @@ class StateFile:
     def to_density(self) -> DensityMatrix:
         if self.kind != KIND_DENSITY:
             raise ValidationError(f"state file holds kind {self.kind!r}, not a density matrix")
-        rho = DensityMatrix(self.dims, self.mat)
-        assert_valid_density(rho)
-        return rho
+        return DensityMatrix(self.dims, self.mat)
 
 
 def _matrix_payload(mat: np.ndarray) -> list:
@@ -103,8 +102,7 @@ def loads_state(text: str) -> StateFile:
     if mat.shape != (total, total):
         raise FileFormatError(f"matrix shape {mat.shape} does not match dims {dims}")
     if kind == KIND_DENSITY:
-        rho = DensityMatrix(dims, mat)  # hermiticity/trace
-        assert_valid_density(rho)  # positivity
+        DensityMatrix(dims, mat)  # raises unless the matrix is a valid state
     return StateFile(
         dims=dims,
         kind=kind,
@@ -141,9 +139,12 @@ def loads_trace(text: str) -> list[TraceRecord]:
         if len(parts) != 3:
             raise FileFormatError(f"line {i}: expected 3 columns, got {len(parts)}")
         try:
-            records.append(TraceRecord(int(parts[0]), int(parts[1]), float(parts[2])))
+            record = TraceRecord(int(parts[0]), int(parts[1]), float(parts[2]))
         except ValueError as exc:
             raise FileFormatError(f"line {i}: {exc}") from exc
+        if not isfinite(record.d2):
+            raise FileFormatError(f"line {i}: d2 {parts[2].strip()!r} is not finite")
+        records.append(record)
     return records
 
 

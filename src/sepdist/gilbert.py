@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, ParameterError, ValidationError
-from .linalg import DensityMatrix, as_matrix, assert_valid_density, hermitize, hsd_sq, is_ppt, maximally_mixed
+from .linalg import DensityMatrix, as_matrix, hermitize, hsd_sq, is_ppt, maximally_mixed
 from .states import SamplerConfig, StateSampler
 from .symmetry import INVARIANCE_TOL, SymmetryGroup, invariance_check, twirl, twirl_pure
 
@@ -116,17 +116,13 @@ class RunState:
         approx: Optional[DensityMatrix] = None,
         group: Optional[SymmetryGroup] = None,
     ) -> "RunState":
-        assert_valid_density(target)
         if approx is None:
             approx = maximally_mixed(target.dims)
         if approx.dims != target.dims:
             raise DimensionError(f"initial state dims {approx.dims} differ from target dims {target.dims}")
-        assert_valid_density(approx)
         if not is_ppt(approx):
             raise ValidationError("initial state is not PPT, so it is entangled and d2 would bound nothing")
         if group is not None:
-            if group.dims != target.dims:
-                raise DimensionError(f"group dims {group.dims} differ from target dims {target.dims}")
             defect = invariance_check(target, group)
             if defect > INVARIANCE_TOL:
                 raise ValidationError(

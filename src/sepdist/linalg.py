@@ -1,10 +1,10 @@
 """Dense complex Hermitian matrix kernel.
 
 Inner products, squared Hilbert-Schmidt distances, single-party
-contractions and partial transposes, plus validity checks for density
-matrices.  Everything operates on plain complex ``numpy`` arrays;
-:class:`DensityMatrix` only bundles a matrix with the ordered subsystem
-dimensions it lives on.
+contractions and partial transposes.  Everything operates on plain
+complex ``numpy`` arrays; :class:`DensityMatrix` bundles a matrix with the
+ordered subsystem dimensions it lives on, and is the one place where a
+matrix is checked to be a valid state: every instance is one.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A quantum state: Hermitian, unit-trace matrix with subsystem dimensions.
+    """A quantum state: finite, Hermitian, unit-trace, positive semidefinite matrix.
 
     ``dims`` is the ordered list of party dimensions; the matrix acts on the
     tensor-product space of total dimension ``prod(dims)``.  Construction
-    checks shape, hermiticity and unit trace; positivity is verified on
-    demand by :func:`assert_valid_density` (it costs an eigendecomposition).
+    checks all of it (positivity costs one ``eigvalsh``): dimensions and
+    shape raise :class:`DimensionError`, the rest :class:`ValidationError`.
     """
 
     dims: tuple[int, ...]
@@ -73,26 +73,22 @@ class DensityMatrix:
         total = prod(dims)
         if mat.shape != (total, total):
             raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims} (D={total})")
+        # Every comparison with NaN is false, so the checks below would pass it.
+        if not np.isfinite(mat).all():
+            raise ValidationError("density matrix has non-finite entries")
         require_hermitian(mat, what="density matrix")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"trace {tr} deviates from 1 by more than {TRACE_TOL:.0e}")
+        low = float(np.linalg.eigvalsh(mat)[0])
+        if low < -PSD_TOL:
+            raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {low:.3e})")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.mat)[0])
-
-
-def assert_valid_density(rho: DensityMatrix) -> None:
-    """Full validity check: no eigenvalue below ``-PSD_TOL``."""
-    low = rho.min_eigenvalue()
-    if low < -PSD_TOL:
-        raise ValidationError(f"matrix is not positive semidefinite (min eigenvalue {low:.3e})")
 
 
 def pure_density(vec: np.ndarray, dims) -> DensityMatrix:

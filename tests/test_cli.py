@@ -275,3 +275,40 @@ class TestStateFiles:
         spec = f"local:{unitary},{tmp_path / 'absent.json'}"
         assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", spec]) == cli.EXIT_IO
         assert "cannot read matrix file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--halt-ct", "10"], ["witness", "--css", "max_entangled_css:2"]],
+    ids=["run", "witness"],
+)
+def test_non_finite_state_file_is_a_validation_error(command, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(fileio.dumps_state(np.diag([np.nan, 0.25, 0.25, 0.25]), (2, 2)))
+    assert cli.main([*command, "--state", str(path)]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "non-finite" in err
+
+
+class TestErrorMapping:
+    """Library errors that reach the CLI exit 3 (I/O, file format) or 4 (rejected input)."""
+
+    def test_group_over_its_cap_is_a_validation_error(self, capsys):
+        args = ["run", "--state", "bell", "--sym", "perm:1,0", "--sym-cap", "1", "--halt-cs", "1"]
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        assert "cannot build symmetry group" in capsys.readouterr().err
+
+    def test_state_path_that_is_a_directory_is_an_io_error(self, tmp_path, capsys):
+        assert cli.main(["run", "--state", str(tmp_path), "--halt-cs", "1"]) == cli.EXIT_IO
+        assert "bad state file" in capsys.readouterr().err
+
+    def test_init_dims_mismatch_is_a_validation_error(self, capsys):
+        assert cli.main(["run", "--state", "bell", "--init", "ghz:3", "--halt-cs", "1"]) == cli.EXIT_VALIDATION
+        assert "initial state dims" in capsys.readouterr().err
+
+    def test_constant_trial_count_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        fileio.write_trace(path, [rec._replace(trials=1000) for rec in exact_decay_trace(0.002, 8.0, n=300)])
+        assert cli.main(["fit", str(path), "--stride", "1"]) == cli.EXIT_VALIDATION
+        assert "zero variance" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from sepdist import TraceRecord, bell, css_max_entangled, fileio
+from sepdist import FileFormatError, TraceRecord, bell, css_max_entangled, fileio
 from conftest import exact_decay_trace, random_density, rng_for
 
 
@@ -17,6 +18,12 @@ def test_trace_csv_round_trip_is_byte_identical(tmp_path):
     fileio.write_trace(second, records)
     assert second.read_bytes() == first.read_bytes()
     assert records == trace
+
+
+@pytest.mark.parametrize("d2", ["inf", "nan"])
+def test_non_finite_trace_distance_is_a_format_error(d2):
+    with pytest.raises(FileFormatError, match="line 2: d2 .* is not finite"):
+        fileio.loads_trace(f"{fileio.TRACE_HEADER}\n7,1,{d2}\n14,2,0.25\n")
 
 
 def test_state_round_trip_is_text_identical():

@@ -261,13 +261,17 @@ class TestRun:
             run(init, HaltCriteria(max_trials=10), init=init, config=SamplerConfig(seed=0))
 
     def test_invalid_target_rejected(self):
-        bad = DensityMatrix((2, 2), np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
         with pytest.raises(ValidationError):
+            bad = DensityMatrix((2, 2), np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
             run(bad, HaltCriteria(max_trials=10), config=SamplerConfig(seed=0))
 
     def test_init_dims_mismatch(self):
         with pytest.raises(DimensionError):
             run(BELL, HaltCriteria(max_trials=10), init=maximally_mixed((2, 3)), config=SamplerConfig(seed=0))
+
+    def test_group_dims_mismatch(self):
+        with pytest.raises(DimensionError):
+            run(BELL, HaltCriteria(max_trials=10), group=ghz3_group(), config=SamplerConfig(seed=0))
 
     def test_sampler_and_config_conflict(self):
         with pytest.raises(ParameterError):

@@ -7,7 +7,6 @@ from sepdist import (
     DensityMatrix,
     DimensionError,
     ValidationError,
-    assert_valid_density,
     bell,
     contract_party,
     css_max_entangled,
@@ -165,7 +164,7 @@ class TestInvariantsAndProperties:
 
 class TestDensityMatrix:
     def test_valid(self):
-        assert_valid_density(maximally_mixed((2, 2)))
+        DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4)
 
     def test_non_hermitian_rejected(self):
         mat = np.eye(4, dtype=complex) / 4
@@ -180,7 +179,14 @@ class TestDensityMatrix:
     def test_not_psd_rejected(self):
         mat = np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex)
         with pytest.raises(ValidationError):
-            assert_valid_density(DensityMatrix((2, 2), mat))
+            DensityMatrix((2, 2), mat)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_rejected(self, entry):
+        mat = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        mat[3, 3] = entry
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix((2, 2), mat)
 
     def test_shape_dims_mismatch(self):
         with pytest.raises(DimensionError):
