@@ -75,10 +75,8 @@ def _strided(trace: Sequence[TraceRecord], stride: int):
     return [rec for rec in trace if rec[1] % stride == 0]
 
 
-def _corr_with(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Correlation of x against each row of a matrix, -inf where degenerate."""
-    xc = x - x.mean()
-    xn = np.sqrt((xc * xc).sum())
+def _corr_with(xc: np.ndarray, xn: float, rows: np.ndarray) -> np.ndarray:
+    """Correlation of x (centred: ``xc``, its norm ``xn``) against each row, -inf where degenerate."""
     rc = rows - rows.mean(axis=1, keepdims=True)
     rn = np.sqrt((rc * rc).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -121,9 +119,9 @@ def fit_extrapolation(
     dmin = float(g[-1])
     n = g.size
     add = np.add.reduce
-    # x is fixed, so it is centred and normed once; each descent score
-    # then centres only y, taking its mean as the same pairwise sum over
-    # the same count that ndarray.mean would.
+    # x is fixed, so it is centred and normed once; the grid and each
+    # descent score then centre only y, a score taking its mean as the same
+    # pairwise sum over the same count that ndarray.mean would.
     xc = x - x.mean()
     xn = sqrt(add(xc * xc))
 
@@ -143,7 +141,7 @@ def fit_extrapolation(
     ln_abs = np.abs(np.log(g[None, :] - a_grid[:, None]))
     best = (-np.inf, 0.0, b_lo)
     for b in np.linspace(b_lo, b_hi, B_POINTS):
-        r = _corr_with(x, ln_abs**b)
+        r = _corr_with(xc, xn, ln_abs**b)
         i = int(np.argmax(r))
         if r[i] > best[0]:
             best = (float(r[i]), float(a_grid[i]), float(b))
@@ -176,13 +174,18 @@ def fit_extrapolation(
 
 
 def fit_power(trace: Sequence[TraceRecord]) -> PowerFit:
-    """Least-squares line through (ln trials, ln successes); the slope is the exponent."""
+    """Least-squares line through (ln trials, ln successes); the slope is the exponent.
+
+    The counters must be positive and nondecreasing, as in every trace a run writes.
+    """
     if len(trace) < 10:
         raise ParameterError(f"need at least 10 trace points, got {len(trace)}")
     ct = np.array([rec[0] for rec in trace], dtype=float)
     cs = np.array([rec[1] for rec in trace], dtype=float)
     if np.any(ct <= 0) or np.any(cs <= 0):
         raise ParameterError("trace counters must be strictly positive")
+    if np.any(np.diff(ct) < 0) or np.any(np.diff(cs) < 0):
+        raise ParameterError("trace counters must be nondecreasing")
     lx = np.log(ct)
     ly = np.log(cs)
     r = correlation(lx, ly)  # raises on zero variance, before polyfit warns about the rank

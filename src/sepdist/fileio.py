@@ -44,10 +44,15 @@ class StateFile:
     name: Optional[str] = None
     metadata: Optional[dict] = None
 
+    def __post_init__(self):
+        # A density payload is checked once, here (raises unless it is a valid state).
+        if self.kind == KIND_DENSITY:
+            object.__setattr__(self, "_density", DensityMatrix(self.dims, self.mat))
+
     def to_density(self) -> DensityMatrix:
         if self.kind != KIND_DENSITY:
             raise ValidationError(f"state file holds kind {self.kind!r}, not a density matrix")
-        return DensityMatrix(self.dims, self.mat)
+        return self._density
 
 
 def _matrix_payload(mat: np.ndarray) -> list:
@@ -101,8 +106,6 @@ def loads_state(text: str) -> StateFile:
         raise FileFormatError(f"malformed matrix payload: {exc}") from exc
     if mat.shape != (total, total):
         raise FileFormatError(f"matrix shape {mat.shape} does not match dims {dims}")
-    if kind == KIND_DENSITY:
-        DensityMatrix(dims, mat)  # raises unless the matrix is a valid state
     return StateFile(
         dims=dims,
         kind=kind,

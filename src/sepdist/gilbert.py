@@ -130,8 +130,7 @@ class RunState:
                     "twirling would converge to the wrong limit"
                 )
             approx = twirl(approx, group)
-        diff = target.mat - approx.mat
-        return cls(target=target, approx=approx, d2=float(np.vdot(diff, diff).real), group=group)
+        return cls(target=target, approx=approx, d2=hsd_sq(target, approx), group=group)
 
 
 @dataclass(frozen=True)
@@ -151,61 +150,25 @@ def preselect(target, approx, trial) -> float:
     return float(np.vdot(r - a, t - a).real)
 
 
-def _line_search_raw(mu00: float, mu01: float, mu11: float, q0: float, q1: float, s2: float):
-    """Inner products of the quadratic d2(w) = aa - 2 w ab + w^2 bb.
-
-    ``mu..`` are the cached pairwise inner products of (target, approx),
-    ``q0``/``q1`` the trial's overlaps with target/approx, ``s2`` the
-    trial's purity.  Returns (aa, ab, bb).
-    """
-    aa = mu00 - 2.0 * q0 + s2
-    ab = mu01 - q0 - q1 + s2
-    bb = mu11 - 2.0 * q1 + s2
-    return aa, ab, bb
-
-
 def line_search(target, approx, trial) -> tuple[float, float]:
     """Exact minimizer of d2 over mixtures w*approx + (1-w)*trial.
 
     Returns the weight clamped to [0, 1] and the squared distance at the
-    clamped weight, evaluated by quadratic expansion.
+    clamped weight, evaluated by quadratic expansion.  An independent
+    reference for the run loop: it shares no code with ``_Engine.try_accept``.
     """
     t, a, r = as_matrix(target), as_matrix(approx), as_matrix(trial)
     if not (t.shape == a.shape == r.shape):
         raise DimensionError(f"shape mismatch: {t.shape}, {a.shape}, {r.shape}")
-    mu00 = float(np.vdot(t, t).real)
-    mu01 = float(np.vdot(t, a).real)
-    mu11 = float(np.vdot(a, a).real)
-    q0 = float(np.vdot(t, r).real)
-    q1 = float(np.vdot(a, r).real)
-    s2 = float(np.vdot(r, r).real)
-    aa, ab, bb = _line_search_raw(mu00, mu01, mu11, q0, q1, s2)
+    # d2(w) = |(t - r) - w (a - r)|^2 = aa - 2 w ab + w^2 bb
+    tr, ar = t - r, a - r
+    aa = float(np.vdot(tr, tr).real)
+    ab = float(np.vdot(tr, ar).real)
+    bb = float(np.vdot(ar, ar).real)
     if bb < DEGENERATE_TOL:
         raise DegenerateError("approx and trial coincide; line search direction is degenerate")
     w = min(1.0, max(0.0, ab / bb))
     return w, aa - 2.0 * w * ab + w * w * bb
-
-
-def _decide(mu00, mu01, mu11, q0, q1, s2, d2):
-    """Acceptance decision for one trial given cached inner products.
-
-    Returns (reason, weight, new_d2); reason is None on acceptance.  The
-    unclamped minimizer must land in [0, 1] and the new distance must be a
-    strict float improvement (guards the monotone trace against roundoff).
-    """
-    f = q0 - q1 - mu01 + mu11
-    if not f > 0.0:
-        return REJECT_PRESELECT, None, None
-    aa, ab, bb = _line_search_raw(mu00, mu01, mu11, q0, q1, s2)
-    if bb < DEGENERATE_TOL:
-        return REJECT_DEGENERATE, None, None
-    w = ab / bb
-    if not 0.0 <= w <= 1.0:
-        return REJECT_RANGE, None, None
-    new_d2 = aa - ab * ab / bb
-    if not new_d2 < d2:
-        return REJECT_DEGENERATE, None, None
-    return None, w, new_d2
 
 
 def run(
@@ -272,13 +235,14 @@ class _Engine:
         self.state.d2 = min(self.state.d2, exact) if self.state.trace else exact
 
     def try_accept(self, ket: np.ndarray, q0: float, q1: float) -> Optional[str]:
-        """Test one counted trial; on acceptance mix it into the iterate.
+        """Decide one counted trial; on acceptance mix it into the iterate.
 
-        ``q0``/``q1`` are the ket's overlaps with the target and the
-        iterate.  Returns the rejection reason, or ``None`` on acceptance.
+        ``ket`` has passed the loop's preselection; ``q0``/``q1`` are its
+        overlaps with the target and the iterate.  Under a group the twirled
+        trial takes its place and is tested again.  The unclamped minimizer
+        must lie in [0, 1] and the new distance must be a strict float
+        improvement.  Returns the rejection reason, or ``None`` on acceptance.
         """
-        if not q0 - q1 - self.mu01 + self.mu11 > 0.0:
-            return REJECT_PRESELECT
         if self.state.group is None:
             trial_mat, s2 = None, 1.0
         else:
@@ -286,9 +250,20 @@ class _Engine:
             q0 = float(np.vdot(self.tmat, trial_mat).real)
             q1 = float(np.vdot(self.amat, trial_mat).real)
             s2 = float(np.vdot(trial_mat, trial_mat).real)
-        reason, w, new_d2 = _decide(self.mu00, self.mu01, self.mu11, q0, q1, s2, self.state.d2)
-        if reason is not None:
-            return reason
+            if not q0 - q1 - self.mu01 + self.mu11 > 0.0:
+                return REJECT_PRESELECT
+        # d2 over mixtures w*approx + (1-w)*trial is aa - 2 w ab + w^2 bb.
+        aa = self.mu00 - 2.0 * q0 + s2
+        ab = self.mu01 - q0 - q1 + s2
+        bb = self.mu11 - 2.0 * q1 + s2
+        if bb < DEGENERATE_TOL:
+            return REJECT_DEGENERATE
+        w = ab / bb
+        if not 0.0 <= w <= 1.0:
+            return REJECT_RANGE
+        new_d2 = aa - ab * ab / bb
+        if not new_d2 < self.state.d2:
+            return REJECT_DEGENERATE
         self.amat *= w
         if trial_mat is None:
             self.amat += (1.0 - w) * np.outer(ket, ket.conj())

@@ -117,8 +117,9 @@ def closure(generators, dims, cap: int = 1024) -> SymmetryGroup:
 
     Every generator must be unitary and a composition of a party
     permutation with local unitaries (else :class:`ValidationError`), so
-    that the group preserves separability.  Elements are deduplicated up
-    to a global phase (the twirl channel is unchanged by phases).  Raises
+    that the group preserves separability.  Elements, repeated generators
+    included, are deduplicated up to a global phase (the twirl channel is
+    unchanged by phases), so each appears once in the average.  Raises
     :class:`CapacityError` if the closure grows beyond ``cap`` elements.
     """
     dims = tuple(int(d) for d in dims)
@@ -141,9 +142,11 @@ def closure(generators, dims, cap: int = 1024) -> SymmetryGroup:
     def known(candidate: np.ndarray) -> bool:
         return any(_phase_duplicate(candidate, e, DEDUP_TOL) for e in elements)
 
-    frontier = [g for g in gens if not known(g)]
-    for g in frontier:
-        elements.append(g)
+    frontier = []
+    for g in gens:  # each against the generators kept so far, so repeats drop out
+        if not known(g):
+            elements.append(g)
+            frontier.append(g)
     if len(elements) > cap:
         raise CapacityError(f"group closure exceeded cap {cap}")
     while frontier:

@@ -147,6 +147,15 @@ class TestFitPower:
         with pytest.raises(ParameterError):
             fit_power([TraceRecord(1, 1, 0.5)])
 
+    @pytest.mark.parametrize(
+        "make_record",
+        [lambda k: TraceRecord(700 - 7 * k, k, 1.0 / k), lambda k: TraceRecord(7 * k, 41 - k, 1.0 / k)],
+        ids=["trials", "successes"],
+    )
+    def test_decreasing_counter_rejected(self, make_record):
+        with pytest.raises(ParameterError, match="nondecreasing"):
+            fit_power([make_record(k) for k in range(1, 41)])
+
 
 def _grid_scan(op_tensor, thetas, phis):
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")

@@ -70,6 +70,16 @@ class TestRun:
         assert out == "" and not trace.exists()
         assert "not PPT" in err
 
+    def test_dims_that_differ_from_the_state_are_a_validation_error(self, capsys):
+        assert cli.main(["run", "--state", "bell", "--dims", "2,3", "--halt-cs", "1"]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "does not match state dims" in err
+
+    def test_unparsable_dims_are_an_argument_error(self, capsys):
+        assert cli.main(["run", "--state", "bell", "--dims", "x", "--halt-cs", "1"]) == cli.EXIT_ARGS
+        assert "cannot parse dimensions" in capsys.readouterr().err
+
     def test_separable_init_runs(self, capsys):
         assert cli.main(["run", "--state", "bell", "--init", "max_entangled_css:2", "--halt-ct", "1000"]) == cli.EXIT_OK
         assert "halted:" in capsys.readouterr().out
@@ -141,6 +151,14 @@ class TestFit:
     def test_unusable_fit_settings_are_validation_errors(self, trace_path, fit_args):
         assert cli.main(["fit", str(trace_path), *fit_args]) == cli.EXIT_VALIDATION
 
+    def test_counters_that_run_backwards_are_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "backwards.csv"
+        fileio.write_trace(path, [(700 - 7 * k, k, 1.0 / k) for k in range(1, 41)])
+        assert cli.main(["fit", str(path), "--stride", "1"]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "nondecreasing" in err
+
     def test_missing_trace_is_an_io_error(self, tmp_path):
         assert cli.main(["fit", str(tmp_path / "absent.csv")]) == cli.EXIT_IO
 
@@ -157,6 +175,19 @@ class TestRunSym:
     def test_bad_permutation_is_a_validation_error(self, capsys):
         assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", "perm:0,0"]) == cli.EXIT_VALIDATION
         assert "not a permutation" in capsys.readouterr().err
+
+    def test_repeated_generator_gives_the_group_of_order_two(self, monkeypatch):
+        groups = []
+
+        def fake_run(target, halt, **kwargs):  # nothing runs; only the group is kept
+            groups.append(kwargs["group"])
+            state = gilbert.RunState.initial(target, kwargs["init"])
+            return gilbert.RunResult(state, state.trace, 0.0)
+
+        monkeypatch.setattr(gilbert, "run", fake_run)
+        args = ["run", "--state", "bell", "--sym", "perm:1,0", "--sym", "perm:1,0", "--halt-cs", "1"]
+        assert cli.main(args) == cli.EXIT_OK
+        assert [group.order for group in groups] == [2]
 
     def test_non_hermitian_local_factors_are_accepted(self, tmp_path):
         phase = tmp_path / "s.json"
@@ -262,6 +293,21 @@ class TestStateFiles:
         path = write_not_psd(tmp_path / "bad.json")
         assert cli.main(["witness", "--state", path, "--css", "max_entangled_css:2"]) == cli.EXIT_VALIDATION
         assert cli.main(["witness", "--state", "bell", "--css", path]) == cli.EXIT_VALIDATION
+
+    def test_state_file_is_eigen_checked_once_per_load(self, tmp_path, monkeypatch):
+        path = tmp_path / "ghz3.json"
+        fileio.write_density(path, named_state("ghz:3"))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rho = cli._load_density(str(path))
+        assert len(calls) == 1
+        assert np.array_equal(rho.mat, named_state("ghz:3").mat)
 
     def test_operator_file_as_state_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "op.json"

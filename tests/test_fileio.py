@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sepdist import FileFormatError, TraceRecord, bell, css_max_entangled, fileio
+from sepdist import FileFormatError, TraceRecord, ValidationError, bell, css_max_entangled, fileio
 from conftest import exact_decay_trace, random_density, rng_for
 
 
@@ -39,3 +39,9 @@ def test_state_round_trip_is_text_identical():
         sf = fileio.loads_state(text)
         assert fileio.dumps_state(sf.mat, sf.dims, kind=sf.kind, name=sf.name, metadata=sf.metadata) == text
         assert np.array_equal(sf.mat, mat)
+
+
+def test_invalid_density_payload_is_rejected_on_load():
+    text = fileio.dumps_state(np.diag([0.7, 0.5, -0.1, -0.1]), (2, 2))
+    with pytest.raises(ValidationError, match="not positive semidefinite"):
+        fileio.loads_state(text)

@@ -27,6 +27,7 @@ from sepdist import (
     party_permutation,
     preselect,
     run,
+    twirl_pure,
 )
 from sepdist import gilbert
 from conftest import random_density, rng_for
@@ -173,6 +174,40 @@ class TestStep:
             assert result.state.successes == accepted
             moved = swap @ result.state.approx.mat @ swap.conj().T
             assert np.abs(moved - result.state.approx.mat).max() <= 1e-12
+
+
+class TestEngineAgainstReferences:
+    """The first accepted steps of a seeded run, redone with ``preselect`` and ``line_search``.
+
+    Trial t is ket t of the seeded stream, so redrawing the stream in one
+    call gives every trial the run tested.  Each accepted trial, mixed into
+    the previous iterate with the reference weight, must give the next
+    iterate; every trial in between must fail a reference check.
+    """
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["bell", "bell-swap"])
+    def test_first_five_steps(self, symmetric):
+        group = closure([party_permutation((1, 0), (2, 2))], (2, 2)) if symmetric else None
+        config = SamplerConfig(seed=4)
+        iterates = [run(BELL, HaltCriteria(max_successes=k), group=group, config=config).state for k in range(6)]
+        trace = iterates[-1].trace
+        kets = StateSampler(config).product_kets((2, 2), trace[-1].trials)
+        trials = [0] + [rec.trials for rec in trace]
+        for k in range(1, 6):
+            prev, step = iterates[k - 1], iterates[k]
+            for t in range(trials[k - 1] + 1, trials[k] + 1):
+                ket = kets[t - 1]
+                trial = np.outer(ket, ket.conj()) if group is None else twirl_pure(ket, group)
+                value = preselect(BELL, prev.approx, trial)
+                w, d2 = line_search(BELL, prev.approx, trial)
+                if t < trials[k]:
+                    assert value <= 0.0 or w in (0.0, 1.0) or not d2 < prev.d2
+                    continue
+                assert value > 0.0 and 0.0 < w < 1.0 and d2 < prev.d2
+                mixed = w * prev.approx.mat + (1.0 - w) * trial
+                assert np.abs(mixed - step.approx.mat).max() <= 1e-12
+                assert abs(d2 - step.d2) <= 1e-12
+                assert abs(d2 - trace[k - 1].d2) <= 1e-12
 
 
 class TestRun:

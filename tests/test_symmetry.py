@@ -65,6 +65,14 @@ class TestClosure:
                 )
                 assert hits >= 1
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["same", "phase"])
+    def test_repeated_generator_kept_once(self, sign):
+        # A repeat kept twice would weight the twirl (rho + 2 S rho S) / 3.
+        swap = party_permutation((1, 0), (2, 2))
+        group = closure([swap, sign * swap], (2, 2))
+        assert group.order == 2
+        assert np.array_equal(group.elements[1], swap)
+
     def test_cap_exceeded(self):
         with pytest.raises(CapacityError):
             closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2), cap=2)
