@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateError, DimensionError, ParameterError
 from .gilbert import TraceRecord
-from .linalg import DensityMatrix, as_matrix, contract_party, hs_inner, require_hermitian
+from .linalg import DensityMatrix, as_matrix, contract_party, hermitize, hs_inner, require_hermitian
 
 DEFAULT_STRIDE = 100
 DEFAULT_RESTARTS = 64
@@ -193,24 +193,6 @@ def fit_power(trace: Sequence[TraceRecord]) -> PowerFit:
     return PowerFit(f=float(slope), c=float(np.exp(intercept)), r2=float(r**2))
 
 
-def _ascend_once(op: np.ndarray, dims: tuple[int, ...], vecs: list[np.ndarray]) -> float:
-    """One sweep of best responses; returns the overlap after the sweep."""
-    n = len(dims)
-    value = 0.0
-    for p in range(n):
-        cur = op
-        cur_dims = list(dims)
-        for q in range(n - 1, -1, -1):
-            if q == p:
-                continue
-            cur = contract_party(cur, q, vecs[q], tuple(cur_dims))
-            del cur_dims[q]
-        vals, vectors = np.linalg.eigh((cur + cur.conj().T) / 2)
-        vecs[p] = vectors[:, -1]
-        value = float(vals[-1])
-    return value
-
-
 def max_sep_overlap(
     op,
     dims,
@@ -221,10 +203,14 @@ def max_sep_overlap(
 
     Alternating best-response ascent: with all parties but one fixed, the
     optimal free vector is the top eigenvector of the partially contracted
-    operator.  Repeated from ``restarts`` random product starts (at least
-    one), each swept until a sweep gains at most ``GAIN_TOL`` or
-    ``MAX_SWEEPS`` sweeps have run; returns the best value found and the
-    per-party vectors achieving it.
+    operator.  Runs ``restarts`` random product starts (at least one) as
+    one batch; each start is swept until a sweep gains at most
+    ``GAIN_TOL`` or ``MAX_SWEEPS`` sweeps have run, and from then on keeps
+    its value and vectors while the others sweep on.  The starts are drawn
+    from ``rng`` one restart after the other, so ``restarts`` calls with
+    one start each on a shared ``rng`` replay the batch.  Returns the best
+    value found (the first start to reach it) and the per-party vectors
+    achieving it.
     """
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
@@ -237,24 +223,35 @@ def max_sep_overlap(
     require_hermitian(m, what="overlap operator")
     if rng is None:
         rng = np.random.default_rng(0)
-    best_value = -np.inf
-    best_vecs: list[np.ndarray] = []
-    for _ in range(restarts):
-        vecs = []
-        for d in dims:
+    n = len(dims)
+    vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
+    for r in range(restarts):
+        for p, d in enumerate(dims):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            vecs.append(v / np.linalg.norm(v))
-        value = -np.inf
-        for _ in range(MAX_SWEEPS):
-            new_value = _ascend_once(m, dims, vecs)
-            if new_value - value <= GAIN_TOL:
-                value = new_value
-                break
-            value = new_value
-        if value > best_value:
-            best_value = value
-            best_vecs = [v.copy() for v in vecs]
-    return best_value, best_vecs
+            vecs[p][r] = v / np.linalg.norm(v)
+    values = np.full(restarts, -np.inf)
+    active = np.arange(restarts)  # the starts still sweeping
+    for _ in range(MAX_SWEEPS):
+        cur_vecs = [v[active] for v in vecs]
+        for p in range(n):
+            cur = m
+            cur_dims = list(dims)
+            for q in range(n - 1, -1, -1):
+                if q == p:
+                    continue
+                cur = contract_party(cur, q, cur_vecs[q], tuple(cur_dims))
+                del cur_dims[q]
+            vals, vectors = np.linalg.eigh(hermitize(cur))
+            cur_vecs[p] = vectors[..., -1]
+        gains = vals[:, -1] - values[active]
+        values[active] = vals[:, -1]
+        for v, cur_v in zip(vecs, cur_vecs):
+            v[active] = cur_v
+        active = active[gains > GAIN_TOL]
+        if not active.size:
+            break
+    best = int(np.argmax(values))
+    return float(values[best]), [v[best].copy() for v in vecs]
 
 
 @dataclass(frozen=True, eq=False)

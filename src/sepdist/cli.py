@@ -253,7 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     witp = sub.add_parser("witness", help="build an entanglement witness")
     witp.add_argument("--state", required=True, help="target state: name or file")
     witp.add_argument("--css", required=True, help="separable approximation: name or file")
-    witp.add_argument("--restarts", type=int, default=analysis.DEFAULT_RESTARTS)
+    witp.add_argument(
+        "--restarts",
+        type=int,
+        default=analysis.DEFAULT_RESTARTS,
+        help="random product starts of the alternating ascent (run as one batch, so extra starts cost "
+        "little); the separable bound it finds is a lower estimate, so 'entangled' is a heuristic verdict",
+    )
     witp.add_argument("--seed", type=int, default=0)
     witp.add_argument("--report", help="write the report here instead of stdout")
     witp.add_argument("--operator", help="write the witness operator state file here")

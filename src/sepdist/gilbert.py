@@ -140,13 +140,19 @@ class RunResult:
     wall_seconds: float
 
 
-def preselect(target, approx, trial) -> float:
-    """Value of Tr[(trial - approx)(target - approx)]; accept when positive."""
+def _reference_operands(target, approx, trial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three matrices, checked for matching party dims and shapes."""
     if isinstance(target, DensityMatrix) and isinstance(approx, DensityMatrix) and target.dims != approx.dims:
         raise DimensionError(f"dims mismatch: {target.dims} vs {approx.dims}")
     t, a, r = as_matrix(target), as_matrix(approx), as_matrix(trial)
     if not (t.shape == a.shape == r.shape):
         raise DimensionError(f"shape mismatch: {t.shape}, {a.shape}, {r.shape}")
+    return t, a, r
+
+
+def preselect(target, approx, trial) -> float:
+    """Value of Tr[(trial - approx)(target - approx)]; accept when positive."""
+    t, a, r = _reference_operands(target, approx, trial)
     return float(np.vdot(r - a, t - a).real)
 
 
@@ -156,10 +162,10 @@ def line_search(target, approx, trial) -> tuple[float, float]:
     Returns the weight clamped to [0, 1] and the squared distance at the
     clamped weight, evaluated by quadratic expansion.  An independent
     reference for the run loop: it shares no code with ``_Engine.try_accept``.
+    Like ``preselect``, it raises :class:`DimensionError` when the party dims
+    of two :class:`DensityMatrix` arguments, or the matrix shapes, differ.
     """
-    t, a, r = as_matrix(target), as_matrix(approx), as_matrix(trial)
-    if not (t.shape == a.shape == r.shape):
-        raise DimensionError(f"shape mismatch: {t.shape}, {a.shape}, {r.shape}")
+    t, a, r = _reference_operands(target, approx, trial)
     # d2(w) = |(t - r) - w (a - r)|^2 = aa - 2 w ab + w^2 bb
     tr, ar = t - r, a - r
     aa = float(np.vdot(tr, tr).real)

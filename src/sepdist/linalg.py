@@ -42,14 +42,18 @@ def hermiticity_defect(mat: np.ndarray) -> float:
 
 
 def require_hermitian(mat: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> None:
+    """Raise :class:`ValidationError` unless ``mat`` is finite and Hermitian within ``tol``."""
+    # Every comparison with NaN is false, so the defect test alone would pass it.
+    if not np.isfinite(mat).all():
+        raise ValidationError(f"{what} has non-finite entries")
     defect = hermiticity_defect(mat)
     if defect > tol:
         raise ValidationError(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.0e})")
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Hermitian part (M + M^dagger)/2."""
-    return (mat + mat.conj().T) / 2
+    """Hermitian part (M + M^dagger)/2, of each matrix of a stack ``(..., D, D)``."""
+    return (mat + mat.conj().swapaxes(-1, -2)) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,9 +77,6 @@ class DensityMatrix:
         total = prod(dims)
         if mat.shape != (total, total):
             raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims} (D={total})")
-        # Every comparison with NaN is false, so the checks below would pass it.
-        if not np.isfinite(mat).all():
-            raise ValidationError("density matrix has non-finite entries")
         require_hermitian(mat, what="density matrix")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
@@ -143,24 +144,33 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     Returns the operator ``M_b`` on the remaining parties defined by
     ``<a| M_b |a'> = <a (x) b | M | a' (x) b>`` where ``b`` sits at position
     ``party``.  Hermiticity of the input is inherited by the output.
+
+    Leading axes are batch axes: ``mat`` may be a stack ``(..., D, D)`` and
+    ``vec`` a stack ``(..., d)``.  Their batch axes broadcast against each
+    other, so one operator can be pinned to a stack of vectors, and the
+    result is a stack ``(..., D/d, D/d)``.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     total = prod(dims)
-    m = as_matrix(mat)
-    if m.shape != (total, total):
+    m = mat.mat if isinstance(mat, DensityMatrix) else np.asarray(mat, dtype=complex)
+    if m.shape[-2:] != (total, total):
         raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
     if not 0 <= party < n:
         raise DimensionError(f"party index {party} out of range for {n} parties")
-    vec = np.asarray(vec, dtype=complex).ravel()
-    if vec.shape[0] != dims[party]:
-        raise DimensionError(f"vector length {vec.shape[0]} != dims[{party}] = {dims[party]}")
-    tensor = m.reshape(dims + dims)
+    d = dims[party]
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape[-1:] != (d,):
+        raise DimensionError(f"vector shape {vec.shape} does not end in dims[{party}] = {d}")
+    pre = prod(dims[:party])
+    post = total // (pre * d)
+    tensor = m.reshape(m.shape[:-2] + (pre, d, post, pre, d, post))
     # Row (bra) index contracts with conj(b), column (ket) index with b.
-    out = np.tensordot(vec.conj(), tensor, axes=([0], [party]))
-    out = np.tensordot(out, vec, axes=([n - 1 + party], [0]))
-    rest = total // dims[party]
-    return out.reshape(rest, rest)
+    try:
+        out = np.einsum("...iakjbl,...a,...b->...ikjl", tensor, vec.conj(), vec)
+    except ValueError:  # the only shapes left unchecked are the batch axes
+        raise DimensionError(f"batch axes of matrix {m.shape} and vector {vec.shape} do not broadcast") from None
+    return out.reshape(out.shape[:-4] + (pre * post, pre * post))
 
 
 def partial_transpose(rho, party: int, dims=None) -> np.ndarray:

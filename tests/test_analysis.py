@@ -11,12 +11,16 @@ from sepdist import (
     build_witness,
     contract_party,
     correlation,
+    css_ghz,
     css_max_entangled,
     fit_extrapolation,
     fit_power,
+    ghz,
     max_sep_overlap,
 )
-from conftest import exact_decay_trace, random_density, rng_for
+from sepdist import analysis
+from sepdist.analysis import MAX_SWEEPS
+from conftest import exact_decay_trace, random_density, random_hermitian, rng_for
 
 
 def slow_decay_trace():
@@ -234,9 +238,71 @@ class TestMaxSepOverlap:
         with pytest.raises(ValidationError):
             max_sep_overlap(bad, (2, 2))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_rejected(self, entry):
+        bad = np.eye(4, dtype=complex)
+        bad[0, 0] = entry
+        with pytest.raises(ValidationError):
+            max_sep_overlap(bad, (2, 2))
+
     def test_single_party_rejected(self):
         with pytest.raises(DimensionError):
             max_sep_overlap(np.eye(2, dtype=complex), (2,))
+
+
+def with_row_counts(call):
+    """``call()`` with ``analysis.contract_party`` counting the vectors it pins per call: (result, counts)."""
+    rows = []
+
+    def counting(mat, party, vec, cdims):
+        rows.append(int(np.prod(np.shape(vec)[:-1])))
+        return contract_party(mat, party, vec, cdims)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "contract_party", counting)
+        return call(), rows
+
+
+def replay_singly(op, dims, restarts, seed):
+    """Each restart as its own call on one shared rng: (value, contraction calls) per restart."""
+    rng = rng_for(seed)
+    calls = [with_row_counts(lambda: max_sep_overlap(op, dims, 1, rng)) for _ in range(restarts)]
+    return [(value, len(rows)) for (value, _), rows in calls]
+
+
+def product_overlap(op, vecs):
+    phi = vecs[0]
+    for v in vecs[1:]:
+        phi = np.kron(phi, v)
+    return float(np.vdot(phi, op @ phi).real)
+
+
+class TestBatchedRestarts:
+    """All restarts run as one batch and replay the same restarts run one call each."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 3, 2)])
+    def test_replays_single_restarts(self, dims):
+        op = random_hermitian(int(np.prod(dims)), rng_for(11))
+        singles = replay_singly(op, dims, 8, seed=3)
+        value, vecs = max_sep_overlap(op, dims, 8, rng_for(3))
+        assert abs(value - max(v for v, _ in singles)) <= 1e-12
+        assert abs(product_overlap(op, vecs) - value) <= 1e-12
+
+    def test_restarts_stop_on_their_own(self):
+        # ghz:3 against a perturbed CSS: two of these eight starts converge in
+        # a few sweeps, the others run all MAX_SWEEPS sweeps.
+        dims = (2, 2, 2)
+        approx = 0.95 * css_ghz(3).mat + 0.05 * random_density(dims, rng_for(0)).mat
+        op = ghz(3).mat - approx
+        singles = replay_singly(op, dims, 8, seed=0)
+        sweeps = [calls // 6 for _, calls in singles]  # six contractions per three-party sweep
+        assert min(sweeps) < 10 and max(sweeps) == MAX_SWEEPS
+        (value, vecs), rows = with_row_counts(lambda: max_sep_overlap(op, dims, 8, rng_for(0)))
+        assert abs(value - max(v for v, _ in singles)) <= 1e-12
+        assert abs(product_overlap(op, vecs) - value) <= 1e-12
+        # A stopped start sweeps no more: the batch pins as many vectors as the single calls.
+        assert len(rows) == 6 * MAX_SWEEPS
+        assert sum(rows) == sum(calls for _, calls in singles)
 
 
 class TestWitness:

@@ -113,6 +113,12 @@ class TestLineSearch:
         with pytest.raises(DegenerateError):
             line_search(BELL, MAXMIX, MAXMIX.mat)
 
+    def test_dims_mismatch(self):
+        # Same 6x6 shapes, different party dims: rejected as preselect rejects them.
+        trial = np.diag([1.0, 0, 0, 0, 0, 0]).astype(complex)
+        with pytest.raises(DimensionError):
+            line_search(maximally_mixed((2, 3)), maximally_mixed((3, 2)), trial)
+
     @pytest.mark.parametrize("dims", [(2, 2), (3, 3)])
     def test_against_golden_section(self, dims):
         rng = rng_for(99)
@@ -208,6 +214,36 @@ class TestEngineAgainstReferences:
                 assert np.abs(mixed - step.approx.mat).max() <= 1e-12
                 assert abs(d2 - step.d2) <= 1e-12
                 assert abs(d2 - trace[k - 1].d2) <= 1e-12
+
+
+class TestTryAccept:
+    """``_Engine.try_accept`` on bell from the maximally mixed state with the trial |00>.
+
+    There q0 = 1/2 and q1 = 1/4, so the trial passes preselection, the
+    weight is w = 2/3 and the quadratic's new distance is 2/3 < d2 = 3/4.
+    """
+
+    Q0, Q1, NEW_D2 = 0.5, 0.25, 2.0 / 3.0
+
+    def engine(self):
+        return gilbert._Engine(RunState.initial(BELL))
+
+    def test_accepts_an_improving_trial(self):
+        engine = self.engine()
+        assert engine.try_accept(np.eye(4, dtype=complex)[0], self.Q0, self.Q1) is None
+        assert engine.state.d2 == pytest.approx(self.NEW_D2, abs=1e-15)
+        assert engine.state.successes == 1
+
+    def test_strict_decrease_guard(self):
+        # The tracked d2 sits below the quadratic's value (as after a refresh
+        # that corrected drift downward): the trial must not raise d2.
+        engine = self.engine()
+        engine.state.d2 = 0.6
+        before = (engine.amat.copy(), engine.mu01, engine.mu11)
+        assert engine.try_accept(np.eye(4, dtype=complex)[0], self.Q0, self.Q1) == gilbert.REJECT_DEGENERATE
+        assert np.array_equal(engine.amat, before[0])
+        assert (engine.mu01, engine.mu11) == before[1:]
+        assert (engine.state.d2, engine.state.successes, engine.state.trace) == (0.6, 0, [])
 
 
 class TestRun:

@@ -46,6 +46,11 @@ class TestHsInner:
         with pytest.raises(ValidationError):
             hs_inner(np.array([[0, 1], [0, 0]], dtype=complex), I2)
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_rejected(self, entry):
+        with pytest.raises(ValidationError):
+            hs_inner(np.array([[1, entry], [entry, 1]], dtype=complex), I2)
+
 
 class TestHsdSq:
     def test_identical(self, rng):
@@ -100,6 +105,29 @@ class TestContractParty:
     def test_bad_vector_length(self):
         with pytest.raises(DimensionError):
             contract_party(np.eye(6, dtype=complex), 0, np.array([1, 0, 0]), (2, 3))
+
+    @pytest.mark.parametrize("dims, party", [((2, 3), 0), ((2, 3), 1), ((2, 3, 2), 1), ((3, 2, 2), 2)])
+    def test_stack_matches_row_loop(self, dims, party):
+        rng = rng_for(8)
+        total = int(np.prod(dims))
+        mats = np.stack([random_hermitian(total, rng) for _ in range(4)])
+        vecs = rng.standard_normal((4, dims[party])) + 1j * rng.standard_normal((4, dims[party]))
+        shared = contract_party(mats[0], party, vecs, dims)
+        stacked = contract_party(mats, party, vecs, dims)
+        rest = total // dims[party]
+        assert shared.shape == stacked.shape == (4, rest, rest)
+        for r in range(4):
+            assert np.abs(shared[r] - contract_party(mats[0], party, vecs[r], dims)).max() <= 1e-13
+            assert np.abs(stacked[r] - contract_party(mats[r], party, vecs[r], dims)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "mat_shape, vec_shape",
+        [((3, 6, 6), (2, 3)), ((3, 6, 5), (3, 3)), ((3, 6, 6), (3, 2)), ((6, 6), (3, 1))],
+        ids=["batch-axes", "matrix", "vector", "column-vector"],
+    )
+    def test_bad_stack_shapes(self, mat_shape, vec_shape):
+        with pytest.raises(DimensionError):
+            contract_party(np.zeros(mat_shape, dtype=complex), 1, np.ones(vec_shape), (2, 3))
 
 
 class TestPartialTranspose:
