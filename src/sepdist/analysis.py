@@ -2,7 +2,9 @@
 
 The distance limit is estimated by maximizing the sample correlation
 between the success index and |ln(d2 - a)|^b over the free parameters
-(a, b); the located ``a`` approximates the asymptotic squared distance.
+(a, b): a coarse grid, then a zoom of shrinking windows in the log-gap
+``ln(min d2 - a)`` and b.  The located ``a`` approximates the asymptotic
+squared distance.
 A separate log-log fit captures the success-vs-trial scaling, and the
 final iterate can be turned into an entanglement witness by bounding the
 operator's overlap with product states from below via alternating
@@ -12,7 +14,7 @@ eigenvector ascent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, prod, sqrt
+from math import inf, isfinite, log, prod, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,13 +28,13 @@ DEFAULT_RESTARTS = 64
 # Coarse grid of the extrapolation fit: points in a (log-spaced gap) and in b.
 A_POINTS = 200
 B_POINTS = 96
+# Refinement of the extrapolation fit: a window of ZOOM_POINTS x ZOOM_POINTS
+# points in (b, ln gap), scored at once.
+ZOOM_POINTS = 9
 # Alternating ascent of max_sep_overlap: stop a restart once a sweep gains
 # no more than GAIN_TOL, or after MAX_SWEEPS sweeps.
 GAIN_TOL = 1e-12
 MAX_SWEEPS = 200
-# Scores the extrapolation descent keeps: a pass tries four points, so
-# eight cover the current and the previous pass.
-_RECENT_SCORES = 8
 
 
 def correlation(x: Sequence[float], y: Sequence[float]) -> float:
@@ -43,11 +45,11 @@ def correlation(x: Sequence[float], y: Sequence[float]) -> float:
         raise ParameterError(f"sequences must share one length, got {x.shape} and {y.shape}")
     if x.size < 2:
         raise ParameterError("need at least two points")
-    vx = x.var()
-    vy = y.var()
-    if vx <= 0.0 or vy <= 0.0:
+    xc, xn = _centred(x)
+    r = float(_corr_with(xc, xn, y[None, :])[0])
+    if not isfinite(r):
         raise DegenerateError("zero variance; correlation is undefined")
-    return float(((x * y).mean() - x.mean() * y.mean()) / np.sqrt(vx * vy))
+    return r
 
 
 @dataclass(frozen=True)
@@ -75,11 +77,21 @@ def _strided(trace: Sequence[TraceRecord], stride: int):
     return [rec for rec in trace if rec[1] % stride == 0]
 
 
+def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x`` minus its mean, and the norm of that."""
+    xc = x - x.mean()
+    return xc, sqrt(np.add.reduce(xc * xc))
+
+
 def _corr_with(xc: np.ndarray, xn: float, rows: np.ndarray) -> np.ndarray:
-    """Correlation of x (centred: ``xc``, its norm ``xn``) against each row, -inf where degenerate."""
-    rc = rows - rows.mean(axis=1, keepdims=True)
-    rn = np.sqrt((rc * rc).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """Correlation of x (centred: ``xc``, its norm ``xn``) against each row.
+
+    Centres each row before it multiplies, so large offsets do not cancel.
+    Gives -inf where a row has zero variance or non-finite entries.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rc = rows - rows.mean(axis=1, keepdims=True)
+        rn = np.sqrt((rc * rc).sum(axis=1))
         r = (rc @ xc) / (rn * xn)
     return np.where(np.isfinite(r), r, -np.inf)
 
@@ -94,15 +106,20 @@ def fit_extrapolation(
 
     Subsamples the trace at every ``stride``-th success, then maximizes the
     correlation between the success index and |ln(d2 - a)|^b over a in
-    [0, min d2) and b in ``b_range`` by a coarse ``A_POINTS`` x
-    ``B_POINTS`` grid followed by coordinate descent with shrinking steps.
-    ``b_range`` must satisfy ``0 < b_min <= b_max``; equal bounds fix the
-    exponent and only ``a`` is searched.
+    [0, min d2) and b in ``b_range``.  A coarse ``A_POINTS`` x ``B_POINTS``
+    grid, log-spaced in the gap ``min d2 - a`` and linear in b, picks the
+    start of a zoom in ``u = ln(min d2 - a)`` and b.  Each zoom level scores
+    a ``ZOOM_POINTS`` x ``ZOOM_POINTS`` window around the best point in one
+    array operation and moves to the window's best point only if that
+    strictly raises r.  A move to the window's edge keeps the steps;
+    otherwise they halve, until they are below 1e-9 in u and 1e-7 in b.
+    u stays in ``[ln(min d2 * 1e-12), ln min d2]`` and ``a = max(min d2 -
+    e^u, 0)``, so ``0 <= a < min d2``.
 
-    The descent reuses the scores of the last eight points it tried, which
-    cover its current and previous pass; nearly every point it revisits
-    (mostly the one it just moved from) is among them.  A score is a pure
-    function of (a, b), so results do not depend on this reuse.
+    ``b_range`` must satisfy ``0 < b_min <= b_max < inf``; equal bounds fix
+    the exponent and only ``a`` is searched.  Raises
+    :class:`DegenerateError` when no grid point gives a finite correlation
+    (every transformed trace is constant or overflows).
     """
     b_lo, b_hi = (float(v) for v in b_range)
     if not 0.0 < b_lo <= b_hi < inf:
@@ -118,20 +135,7 @@ def fit_extrapolation(
         raise ParameterError("trace distances must stay positive")
     dmin = float(g[-1])
     n = g.size
-    add = np.add.reduce
-    # x is fixed, so it is centred and normed once; the grid and each
-    # descent score then centre only y, a score taking its mean as the same
-    # pairwise sum over the same count that ndarray.mean would.
-    xc = x - x.mean()
-    xn = sqrt(add(xc * xc))
-
-    def score(a: float, b: float) -> float:
-        y = np.abs(np.log(g - a)) ** b
-        yc = y - add(y) / n
-        denom = sqrt(add(yc * yc))
-        if denom == 0.0 or not isfinite(denom):
-            return -inf
-        return float(yc @ xc) / (denom * xn)
+    xc, xn = _centred(x)  # x is fixed: centred and normed once
 
     # Coarse grid: log-spaced in the gap (min d2 - a) so both a ~ 0 and
     # a ~ min d2 are covered, times a linear grid in b.
@@ -141,34 +145,39 @@ def fit_extrapolation(
     ln_abs = np.abs(np.log(g[None, :] - a_grid[:, None]))
     best = (-np.inf, 0.0, b_lo)
     for b in np.linspace(b_lo, b_hi, B_POINTS):
-        r = _corr_with(xc, xn, ln_abs**b)
+        with np.errstate(over="ignore"):
+            r = _corr_with(xc, xn, ln_abs**b)
         i = int(np.argmax(r))
         if r[i] > best[0]:
             best = (float(r[i]), float(a_grid[i]), float(b))
 
     r_best, a_best, b_best = best
-    a_hi = dmin * (1.0 - 1e-12)
-    step_a = dmin / 8.0
+    if not isfinite(r_best):
+        raise DegenerateError("no (a, b) gives a finite correlation; the fit is undefined")
+
+    # Zoom in u = ln(min d2 - a), where the ridge of r is far wider than in a.
+    u_lo, u_hi = log(dmin * 1e-12), log(dmin)
+    u_best = log(dmin - a_best)
+    half = ZOOM_POINTS // 2
+    offsets = np.arange(ZOOM_POINTS) - half
+    step_u = 2.0 * log(gaps[1] / gaps[0])
     step_b = (b_hi - b_lo) / B_POINTS
-    recent: dict[tuple[float, float], float] = {}
-    while step_a > dmin * 1e-7 or step_b > 1e-6:
-        moved = True
-        while moved:
-            moved = False
-            for da, db in ((step_a, 0.0), (-step_a, 0.0), (0.0, step_b), (0.0, -step_b)):
-                a_try = min(max(a_best + da, 0.0), a_hi)
-                b_try = min(max(b_best + db, b_lo), b_hi)
-                key = (a_try, b_try)
-                r_try = recent.pop(key, None)
-                if r_try is None:
-                    r_try = score(a_try, b_try)
-                    if len(recent) == _RECENT_SCORES:
-                        del recent[next(iter(recent))]
-                recent[key] = r_try
-                if r_try > r_best:
-                    r_best, a_best, b_best = r_try, a_try, b_try
-                    moved = True
-        step_a /= 2.0
+    while step_u > 1e-9 or step_b > 1e-7:
+        u = np.clip(u_best + step_u * offsets, u_lo, u_hi)
+        a = np.maximum(dmin - np.exp(u), 0.0)
+        b = np.clip(b_best + step_b * offsets, b_lo, b_hi)
+        ln_abs = np.abs(np.log(g - a[:, None]))
+        with np.errstate(over="ignore"):
+            r = _corr_with(xc, xn, (ln_abs ** b[:, None, None]).reshape(-1, n))
+        i = int(np.argmax(r))
+        if r[i] > r_best:
+            ib, iu = divmod(i, ZOOM_POINTS)
+            r_best, u_best, a_best, b_best = float(r[i]), float(u[iu]), float(a[iu]), float(b[ib])
+            # The optimum may lie beyond the window's edge (in b, only if b
+            # moves): recentre, same steps.
+            if abs(offsets[iu]) == half or (step_b > 0.0 and abs(offsets[ib]) == half):
+                continue
+        step_u /= 2.0
         step_b /= 2.0
     return ExtrapolationFit(a=a_best, b=b_best, r=r_best, stride=stride)
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from sepdist import (
     correlation,
     css_ghz,
     css_max_entangled,
+    fileio,
     fit_extrapolation,
     fit_power,
     ghz,
@@ -23,9 +26,16 @@ from sepdist.analysis import MAX_SWEEPS
 from conftest import exact_decay_trace, random_density, random_hermitian, rng_for
 
 
+RECORDED_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
 def slow_decay_trace():
     """Same functional form as exact_decay_trace, sampled far from the asymptote."""
     return [TraceRecord(3 * k, k, 0.002 + np.exp(-((k / 50.0) ** 0.125))) for k in range(1, 1001)]
+
+
+def recorded_trace(name):
+    return lambda: fileio.read_trace(RECORDED_INPUTS / name)
 
 
 class TestCorrelation:
@@ -47,6 +57,16 @@ class TestCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             correlation([1, 2, 3], [1, 2])
+
+    @pytest.mark.parametrize(
+        "x",
+        [1e8 + np.arange(10.0), 1e4 + 1e-3 * np.arange(10.0)],
+        ids=["large-offset", "small-spread"],
+    )
+    def test_offset_does_not_cancel(self, x):
+        # E[xy] - E[x]E[y] read 0.9697 and 1.0042 on these
+        assert correlation(x, x) == pytest.approx(1.0, abs=1e-12)
+        assert correlation(x, -x) == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestFitExtrapolation:
@@ -96,20 +116,46 @@ class TestFitExtrapolation:
         [
             (
                 lambda: exact_decay_trace(0.002, 8.0, n=400),
-                (0.0020000015033731196, 7.999813395738601, 0.9999999999972414),
+                (0.001999999997400458, 8.000000256299973, 1.0000000000000002),
             ),
             (
                 slow_decay_trace,
-                (0.002003972012244417, 7.999960929155358, 0.9999999999999728),
+                (0.001999815909291297, 8.000001509984333, 1.0000000000000004),
             ),
         ],
         ids=["exact-decay", "slow-decay"],
     )
     def test_pinned_results(self, make_trace, expected):
-        # exact values of the grid + coordinate-descent path; any change to
-        # its arithmetic, move order or stopping rule shows up here
+        # exact values of the grid + log-gap zoom path; any change to its
+        # arithmetic, window, move rule or stopping rule shows up here
         fit = fit_extrapolation(make_trace(), stride=1)
         assert (fit.a, fit.b, fit.r) == expected
+
+    @pytest.mark.parametrize(
+        "make_trace, stride, a_old, r_old, a_tol",
+        [
+            (recorded_trace("bell_trace.csv"), 100, 0.33355162726709287, 0.9999417931443629, 1e-6),
+            (recorded_trace("bell_trace.csv"), 37, 0.33356740473949614, 0.9999344768099568, 1e-6),
+            (recorded_trace("ghz3_trace.csv"), 100, 0.46466896161247256, 0.9998090917157029, 1e-6),
+            (recorded_trace("ghz3_trace.csv"), 37, 0.46502538599314, 0.9998343086747276, 1e-6),
+            (lambda: exact_decay_trace(0.002, 8.0, n=400), 1, 0.0020000015033731196, 0.9999999999972414, 1e-6),
+            # The descent stalled on this ridge 4.0e-6 above the limit 0.002;
+            # the zoom ends 1.8e-7 below it.
+            (slow_decay_trace, 1, 0.002003972012244417, 0.9999999999999728, 5e-6),
+        ],
+        ids=["bell-100", "bell-37", "ghz3-100", "ghz3-37", "exact-decay", "slow-decay"],
+    )
+    def test_no_worse_than_the_coordinate_descent(self, make_trace, stride, a_old, r_old, a_tol):
+        # (a, r) of the coordinate descent that the zoom replaced, on the same traces
+        fit = fit_extrapolation(make_trace(), stride=stride)
+        assert fit.r >= r_old
+        assert abs(fit.a - a_old) <= a_tol
+
+    @pytest.mark.parametrize("b", [1e6, 1e-300], ids=["overflow", "constant"])
+    def test_no_finite_correlation_is_degenerate(self, b):
+        # |ln(d2 - a)|^b overflows for every a, or is 1.0 at every point
+        with pytest.raises(DegenerateError):
+            fit_extrapolation(exact_decay_trace(0.002, 8.0, n=50), stride=1, b_range=(b, b))
 
     @pytest.mark.parametrize(
         "b_range",

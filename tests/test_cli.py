@@ -151,6 +151,13 @@ class TestFit:
     def test_unusable_fit_settings_are_validation_errors(self, trace_path, fit_args):
         assert cli.main(["fit", str(trace_path), *fit_args]) == cli.EXIT_VALIDATION
 
+    @pytest.mark.parametrize("b", ["1e6", "1e-300"], ids=["overflow", "constant"])
+    def test_fit_without_a_finite_correlation_is_a_validation_error(self, trace_path, capsys, b):
+        assert cli.main(["fit", str(trace_path), "--stride", "1", "--b-min", b, "--b-max", b]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "finite correlation" in err
+
     def test_counters_that_run_backwards_are_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "backwards.csv"
         fileio.write_trace(path, [(700 - 7 * k, k, 1.0 / k) for k in range(1, 41)])
