@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateError, DimensionError, ParameterError
 from .gilbert import TraceRecord
-from .linalg import DensityMatrix, as_matrix, contract_party, hermitize, hs_inner, require_hermitian
+from .linalg import DensityMatrix, as_matrix, contract_party, hs_inner, require_hermitian
 
 DEFAULT_STRIDE = 100
 DEFAULT_RESTARTS = 64
@@ -87,13 +87,14 @@ def _corr_with(xc: np.ndarray, xn: float, rows: np.ndarray) -> np.ndarray:
     """Correlation of x (centred: ``xc``, its norm ``xn``) against each row.
 
     Centres each row before it multiplies, so large offsets do not cancel.
+    Clamps at 1, which rounding can exceed on rows that fit x exactly.
     Gives -inf where a row has zero variance or non-finite entries.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rc = rows - rows.mean(axis=1, keepdims=True)
         rn = np.sqrt((rc * rc).sum(axis=1))
         r = (rc @ xc) / (rn * xn)
-    return np.where(np.isfinite(r), r, -np.inf)
+    return np.where(np.isfinite(r), np.minimum(r, 1.0), -np.inf)
 
 
 def fit_extrapolation(
@@ -202,6 +203,32 @@ def fit_power(trace: Sequence[TraceRecord]) -> PowerFit:
     return PowerFit(f=float(slope), c=float(np.exp(intercept)), r2=float(r**2))
 
 
+def _party_last(m: np.ndarray, dims: tuple[int, ...]) -> list[np.ndarray]:
+    """One copy of ``m`` per party p, permuted to act on (the other parties, in order) (x) p."""
+    n = len(dims)
+    tensor = m.reshape(dims + dims)
+    copies = []
+    for p in range(n):
+        order = [q for q in range(n) if q != p] + [p]
+        copies.append(tensor.transpose(order + [n + q for q in order]).reshape(m.shape))
+    return copies
+
+
+def _pin_others(moved: np.ndarray, vecs: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """Operators ``(R, d_p, d_p)`` on party p with every other party q pinned to a row of ``vecs[q]``.
+
+    ``moved`` is party p's copy from :func:`_party_last`; the other
+    parties' ``(R, d_q)`` rows form one ``(R, D/d_p)`` Kronecker ket, pinned
+    in one :func:`contract_party` call.  ``vecs[p]`` gives only ``d_p``.
+    """
+    env = None
+    for q, v in enumerate(vecs):
+        if q != p:
+            env = v if env is None else (env[:, :, None] * v[:, None, :]).reshape(len(v), -1)
+    d = vecs[p].shape[-1]
+    return contract_party(moved, 0, env, (moved.shape[0] // d, d))
+
+
 def max_sep_overlap(
     op,
     dims,
@@ -220,6 +247,13 @@ def max_sep_overlap(
     one start each on a shared ``rng`` replay the batch.  Returns the best
     value found (the first start to reach it) and the per-party vectors
     achieving it.
+
+    The operator is permuted once per call, into one copy per party with
+    that party last.  A sweep then pins, for each party, the other
+    parties' vectors as one Kronecker ket in a single
+    :func:`contract_party` call on that party's copy: one contraction per
+    party and sweep.  ``eigh`` reads one triangle, so the contracted
+    operators are not made Hermitian first.
     """
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
@@ -232,25 +266,18 @@ def max_sep_overlap(
     require_hermitian(m, what="overlap operator")
     if rng is None:
         rng = np.random.default_rng(0)
-    n = len(dims)
     vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
     for r in range(restarts):
         for p, d in enumerate(dims):
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vecs[p][r] = v / np.linalg.norm(v)
+    moved = _party_last(m, dims)
     values = np.full(restarts, -np.inf)
     active = np.arange(restarts)  # the starts still sweeping
     for _ in range(MAX_SWEEPS):
         cur_vecs = [v[active] for v in vecs]
-        for p in range(n):
-            cur = m
-            cur_dims = list(dims)
-            for q in range(n - 1, -1, -1):
-                if q == p:
-                    continue
-                cur = contract_party(cur, q, cur_vecs[q], tuple(cur_dims))
-                del cur_dims[q]
-            vals, vectors = np.linalg.eigh(hermitize(cur))
+        for p, party_last in enumerate(moved):
+            vals, vectors = np.linalg.eigh(_pin_others(party_last, cur_vecs, p))
             cur_vecs[p] = vectors[..., -1]
         gains = vals[:, -1] - values[active]
         values[active] = vals[:, -1]

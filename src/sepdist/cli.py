@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, fileio, gilbert, states, symmetry
 from .errors import FileFormatError, ParameterError, SepdistError
-from .linalg import DensityMatrix, maximally_mixed
+from .linalg import DensityMatrix
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -121,7 +121,7 @@ def cmd_run(args) -> int:
     target = _load_density(args.state)
     if args.dims is not None and _parse_dims(args.dims) != target.dims:
         raise CliError(EXIT_VALIDATION, f"--dims {args.dims} does not match state dims {target.dims}")
-    init = maximally_mixed(target.dims) if args.init == "maxmix" else _load_density(args.init)
+    init = None if args.init == "maxmix" else _load_density(args.init)  # None: run's maximally mixed default
 
     group = None
     if args.sym:

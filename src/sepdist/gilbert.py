@@ -117,10 +117,10 @@ class RunState:
         group: Optional[SymmetryGroup] = None,
     ) -> "RunState":
         if approx is None:
-            approx = maximally_mixed(target.dims)
-        if approx.dims != target.dims:
+            approx = maximally_mixed(target.dims)  # separable by construction: nothing to check
+        elif approx.dims != target.dims:
             raise DimensionError(f"initial state dims {approx.dims} differ from target dims {target.dims}")
-        if not is_ppt(approx):
+        elif not is_ppt(approx):
             raise ValidationError("initial state is not PPT, so it is entangled and d2 would bound nothing")
         if group is not None:
             defect = invariance_check(target, group)
@@ -188,8 +188,9 @@ def run(
 ) -> RunResult:
     """Iterate trials until a halt criterion fires.
 
-    ``init`` defaults to the maximally mixed state.  It must be separable,
-    or ``d2`` bounds nothing; an init that is not PPT raises
+    ``init`` defaults to the maximally mixed state, which is separable by
+    construction and not checked.  A given init must be separable, or
+    ``d2`` bounds nothing; an init that is not PPT raises
     :class:`ValidationError`, but a PPT entangled init such as
     ``upb_tiles_state()`` cannot be detected.  ``group`` must leave the
     target invariant (:func:`symmetry.invariance_check` at most

@@ -143,12 +143,17 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
 
     Returns the operator ``M_b`` on the remaining parties defined by
     ``<a| M_b |a'> = <a (x) b | M | a' (x) b>`` where ``b`` sits at position
-    ``party``.  Hermiticity of the input is inherited by the output.
+    ``party``.  Hermiticity of the input is inherited by the output, up to
+    rounding.
 
     Leading axes are batch axes: ``mat`` may be a stack ``(..., D, D)`` and
     ``vec`` a stack ``(..., d)``.  Their batch axes broadcast against each
     other, so one operator can be pinned to a stack of vectors, and the
-    result is a stack ``(..., D/d, D/d)``.
+    result is a stack ``(..., D/d, D/d)``.  The pinned bra and ket axes are
+    moved first, so the contraction is one matrix product of the vectors'
+    ``conj(b) (x) b`` rows with the ``(d*d, (D/d)**2)`` reshape of the
+    operator; one operator pinned to a stack of vectors is a single BLAS
+    ``matmul``.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
@@ -164,13 +169,20 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
         raise DimensionError(f"vector shape {vec.shape} does not end in dims[{party}] = {d}")
     pre = prod(dims[:party])
     post = total // (pre * d)
-    tensor = m.reshape(m.shape[:-2] + (pre, d, post, pre, d, post))
+    rest = pre * post
+    lead = m.shape[:-2]
+    k = len(lead)
+    tensor = m.reshape(lead + (pre, d, post, pre, d, post))
+    x = tensor.transpose(tuple(range(k)) + (k + 1, k + 4, k, k + 2, k + 3, k + 5)).reshape(lead + (d * d, rest * rest))
     # Row (bra) index contracts with conj(b), column (ket) index with b.
+    w = (vec.conj()[..., :, None] * vec[..., None, :]).reshape(vec.shape[:-1] + (d * d,))
+    if not lead:  # one operator: each vector is a row of one product
+        return (w.reshape(-1, d * d) @ x).reshape(vec.shape[:-1] + (rest, rest))
     try:
-        out = np.einsum("...iakjbl,...a,...b->...ikjl", tensor, vec.conj(), vec)
+        out = np.matmul(w[..., None, :], x)
     except ValueError:  # the only shapes left unchecked are the batch axes
         raise DimensionError(f"batch axes of matrix {m.shape} and vector {vec.shape} do not broadcast") from None
-    return out.reshape(out.shape[:-4] + (pre * post, pre * post))
+    return out.reshape(out.shape[:-2] + (rest, rest))
 
 
 def partial_transpose(rho, party: int, dims=None) -> np.ndarray:

@@ -20,6 +20,7 @@ from sepdist import (
     fit_power,
     ghz,
     max_sep_overlap,
+    upb_tiles_state,
 )
 from sepdist import analysis
 from sepdist.analysis import MAX_SWEEPS
@@ -42,6 +43,11 @@ class TestCorrelation:
     def test_perfect_linear(self):
         x = np.arange(1.0, 9.0)
         assert correlation(x, 2 * x + 1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_clamped_at_one(self):
+        # 1.0000000000000002 unclamped: the rounding of an exact linear fit
+        x = np.linspace(0.1, 1.7, 8)
+        assert correlation(x, 0.3 * x + 0.2) == 1.0
 
     def test_anticorrelated(self):
         x = np.arange(1.0, 9.0)
@@ -116,20 +122,22 @@ class TestFitExtrapolation:
         [
             (
                 lambda: exact_decay_trace(0.002, 8.0, n=400),
-                (0.001999999997400458, 8.000000256299973, 1.0000000000000002),
+                (0.001999999997400458, 8.000000445048014, 1.0),
             ),
             (
                 slow_decay_trace,
-                (0.001999815909291297, 8.000001509984333, 1.0000000000000004),
+                (0.001999815909291297, 8.000001509984333, 1.0),
             ),
         ],
         ids=["exact-decay", "slow-decay"],
     )
     def test_pinned_results(self, make_trace, expected):
         # exact values of the grid + log-gap zoom path; any change to its
-        # arithmetic, window, move rule or stopping rule shows up here
+        # arithmetic, window, move rule or stopping rule shows up here; these
+        # traces fit the model exactly, so rounding would push r above 1 unclamped
         fit = fit_extrapolation(make_trace(), stride=1)
         assert (fit.a, fit.b, fit.r) == expected
+        assert fit.r <= 1.0
 
     @pytest.mark.parametrize(
         "make_trace, stride, a_old, r_old, a_tol",
@@ -341,14 +349,52 @@ class TestBatchedRestarts:
         approx = 0.95 * css_ghz(3).mat + 0.05 * random_density(dims, rng_for(0)).mat
         op = ghz(3).mat - approx
         singles = replay_singly(op, dims, 8, seed=0)
-        sweeps = [calls // 6 for _, calls in singles]  # six contractions per three-party sweep
+        sweeps = [calls // 3 for _, calls in singles]  # one contraction per party and sweep
         assert min(sweeps) < 10 and max(sweeps) == MAX_SWEEPS
         (value, vecs), rows = with_row_counts(lambda: max_sep_overlap(op, dims, 8, rng_for(0)))
         assert abs(value - max(v for v, _ in singles)) <= 1e-12
         assert abs(product_overlap(op, vecs) - value) <= 1e-12
         # A stopped start sweeps no more: the batch pins as many vectors as the single calls.
-        assert len(rows) == 6 * MAX_SWEEPS
+        assert len(rows) == 3 * MAX_SWEEPS
         assert sum(rows) == sum(calls for _, calls in singles)
+
+
+def nested_pinning(op, dims, vecs, p):
+    """Operators on party p, the other parties pinned one call each from the last: the reference."""
+    cur, cur_dims = op, list(dims)
+    for q in range(len(dims) - 1, -1, -1):
+        if q != p:
+            cur = contract_party(cur, q, vecs[q], tuple(cur_dims))
+            del cur_dims[q]
+    return cur
+
+
+class TestOneCallPinning:
+    """The ascent pins all other parties in one call on a permuted copy of the operator."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
+    def test_matches_nested_pinning(self, dims):
+        rng = rng_for(5)
+        op = random_hermitian(int(np.prod(dims)), rng)
+        vecs = [rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d)) for d in dims]
+        vecs = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in vecs]
+        for p, moved in enumerate(analysis._party_last(op, dims)):
+            one_call = analysis._pin_others(moved, vecs, p)
+            assert one_call.shape == (4, dims[p], dims[p])
+            assert np.abs(one_call - nested_pinning(op, dims, vecs, p)).max() <= 1e-13
+
+    @pytest.mark.parametrize(
+        "iterate, target, expected",
+        [
+            ("ghz3_iterate.json", ghz(3), 0.12208948538477164),
+            ("upb_iterate.json", upb_tiles_state(), 0.02698990112641637),
+        ],
+        ids=["ghz3", "upb"],
+    )
+    def test_pinned_overlap_of_recorded_iterates(self, iterate, target, expected):
+        op = target.mat - fileio.read_state(RECORDED_INPUTS / iterate).to_density().mat
+        value, _ = max_sep_overlap(op, target.dims, 16, np.random.default_rng(0))
+        assert abs(value - expected) <= 1e-12
 
 
 class TestWitness:

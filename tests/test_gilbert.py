@@ -331,6 +331,21 @@ class TestRun:
         with pytest.raises(ValidationError, match="not PPT"):
             run(init, HaltCriteria(max_trials=10), init=init, config=SamplerConfig(seed=0))
 
+    @pytest.mark.parametrize("init, checks", [(None, 0), (MAXMIX, 1)], ids=["default", "given"])
+    def test_only_a_given_init_is_ppt_checked(self, init, checks):
+        # the maximally mixed default is separable by construction
+        calls = []
+
+        def counting(rho, *args, **kwargs):
+            calls.append(rho)
+            return is_ppt(rho, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gilbert, "is_ppt", counting)
+            state = RunState.initial(BELL, init)
+        assert len(calls) == checks
+        assert np.array_equal(state.approx.mat, MAXMIX.mat)
+
     def test_invalid_target_rejected(self):
         with pytest.raises(ValidationError):
             bad = DensityMatrix((2, 2), np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex))
