@@ -64,10 +64,10 @@ from .states import (
     upb_tiles_vectors,
 )
 from .symmetry import (
+    PermutedLocal,
     SymmetryGroup,
     closure,
     invariance_check,
-    is_separability_preserving,
     local_unitary,
     party_permutation,
     twirl,

@@ -87,7 +87,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _parse_sym(spec: str, dims: tuple[int, ...]) -> np.ndarray:
+def _parse_sym(spec: str, dims: tuple[int, ...]) -> symmetry.PermutedLocal:
     head, _, arg = spec.partition(":")
     if head == "perm":
         perm = _parse_dims(arg)

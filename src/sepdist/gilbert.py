@@ -13,7 +13,8 @@ Trials run as one sequential stream: trial ``t`` is ket ``t`` of the
 sampler's seeded stream, tested against the iterate as it stands after
 trial ``t - 1``.  The run loop draws kets in chunks and skips none; how
 the stream is chunked and windowed is a speed setting only, and the trace
-of a seeded run does not depend on it.
+of a seeded run does not depend on it, since each ket's overlaps round
+the same in a window of any size.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .symmetry import INVARIANCE_TOL, SymmetryGroup, invariance_check, twirl, tw
 DEGENERATE_TOL = 1e-14
 REFRESH_EVERY = 1024  # acceptances between exact recomputations of the cached inner products
 
-REJECT_PRESELECT = "preselect-failed"
 REJECT_RANGE = "p-out-of-range"
 REJECT_DEGENERATE = "degenerate"
 
@@ -196,8 +196,9 @@ def run(
     target invariant (:func:`symmetry.invariance_check` at most
     ``INVARIANCE_TOL``, else :class:`ValidationError`).  When a group is
     given the initial iterate is twirled once up front and every preselected
-    trial is twirled (with the preselection functional re-checked on the
-    symmetrized trial).  Trial ``t`` is ket ``t`` of the sampler's stream,
+    trial is twirled; the twirl leaves the trial's overlaps with the
+    (invariant) target and iterate unchanged, so the preselection of its
+    ket stands.  Trial ``t`` is ket ``t`` of the sampler's stream,
     so a seeded run is deterministic and its trace does not depend on how
     the loop chunks the stream (``CHUNK``, ``MIN_WINDOW``).  The cached
     inner products are recomputed exactly every ``REFRESH_EVERY``
@@ -219,7 +220,14 @@ def run(
 
 
 def _quad_forms(mat: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Row-wise <k| M |k> for a stack of kets (real for Hermitian M)."""
+    """Row-wise <k| M |k> for a stack of kets (real for Hermitian M).
+
+    A lone row is evaluated inside a two-row block: numpy sends a one-row
+    product to a matrix-vector kernel, which rounds differently from the
+    matrix-matrix one, and a window's size must not change a decision.
+    """
+    if len(kets) == 1:
+        return _quad_forms(mat, np.concatenate([kets, kets]))[:1]
     return np.einsum("ni,ni->n", kets.conj() @ mat, kets).real
 
 
@@ -246,19 +254,17 @@ class _Engine:
 
         ``ket`` has passed the loop's preselection; ``q0``/``q1`` are its
         overlaps with the target and the iterate.  Under a group the twirled
-        trial takes its place and is tested again.  The unclamped minimizer
-        must lie in [0, 1] and the new distance must be a strict float
-        improvement.  Returns the rejection reason, or ``None`` on acceptance.
+        trial takes its place with the same ``q0``/``q1``: the target and the
+        iterate are group-invariant, so the twirl changes only the trial's
+        own norm ``s2``.  The unclamped minimizer must lie in [0, 1] and the
+        new distance must be a strict float improvement.  Returns the
+        rejection reason, or ``None`` on acceptance.
         """
         if self.state.group is None:
             trial_mat, s2 = None, 1.0
         else:
             trial_mat = twirl_pure(ket, self.state.group)
-            q0 = float(np.vdot(self.tmat, trial_mat).real)
-            q1 = float(np.vdot(self.amat, trial_mat).real)
             s2 = float(np.vdot(trial_mat, trial_mat).real)
-            if not q0 - q1 - self.mu01 + self.mu11 > 0.0:
-                return REJECT_PRESELECT
         # d2 over mixtures w*approx + (1-w)*trial is aa - 2 w ab + w^2 bb.
         aa = self.mu00 - 2.0 * q0 + s2
         ab = self.mu01 - q0 - q1 + s2
@@ -299,7 +305,8 @@ def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> Non
     at ``MIN_WINDOW`` kets after an acceptance (the iterate moved) and
     double while trials keep failing; a window never runs past the trials
     the halt criteria have left.  Each decision depends only on its ket
-    and the current iterate, so the trace does not depend on either
+    and the current iterate, and ``_quad_forms`` rounds a ket's overlaps
+    alike in every window, so the trace does not depend on either
     constant.
     """
     engine = _Engine(state)

@@ -1,19 +1,18 @@
 """Finite symmetry groups and twirling of trial states.
 
 A group here is an explicit list of unitaries, closed under multiplication
-and deduplicated up to global phase.  Generators must preserve
-separability; the two supported kinds are tensor products of per-party
-unitaries and permutations of equal-dimension parties (and their
-compositions), both of which map product states to product states.
-Arbitrary global unitaries are rejected at construction.  A group used to
-twirl a run must also leave the target invariant: the run then keeps the
-same limit and only searches a smaller set.  ``gilbert.run`` rejects a
-group whose :func:`invariance_check` exceeds ``INVARIANCE_TOL``.
+and deduplicated up to global phase.  Its generators are
+:class:`PermutedLocal` elements, one unitary per party followed by a
+permutation of equal-dimension parties; products keep that form, so every
+element maps product states to product states and the group preserves
+separability by construction.  A dense matrix is not a generator.  A group
+used to twirl a run must also leave the target invariant: the run then
+keeps the same limit and only searches a smaller set.  ``gilbert.run``
+rejects a group whose :func:`invariance_check` exceeds ``INVARIANCE_TOL``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
@@ -46,18 +45,50 @@ def require_unitary(mat: np.ndarray, tol: float = UNITARY_TOL, what: str = "matr
         raise ValidationError(f"{what} is not unitary (defect {defect:.3e} > {tol:.0e})")
 
 
-def local_unitary(factors) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class PermutedLocal:
+    """The unitary ``P_perm (F_0 (x) ... (x) F_{n-1})``; ``P_perm`` puts old party ``perm[k]`` in slot k.
+
+    ``a @ b`` composes two elements into a third of the same form.
+    """
+
+    perm: tuple[int, ...]
+    factors: tuple[np.ndarray, ...]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(f.shape[0] for f in self.factors)
+
+    def __matmul__(self, other):
+        if not isinstance(other, PermutedLocal):
+            return NotImplemented
+        if other.dims != self.dims:
+            raise DimensionError(f"cannot compose elements on dims {self.dims} and {other.dims}")
+        moved = [None] * len(self.factors)  # (F_0 (x) ...) P_b = P_b (G_0 (x) ...) with G_{b[k]} = F_k
+        for k, p in enumerate(other.perm):
+            moved[p] = self.factors[k]
+        perm = tuple(other.perm[p] for p in self.perm)
+        return PermutedLocal(perm, tuple(m @ f for m, f in zip(moved, other.factors)))
+
+    def matrix(self) -> np.ndarray:
+        """The dense D x D unitary."""
+        out = self.factors[0]
+        for f in self.factors[1:]:
+            out = np.multiply.outer(out, f)  # axes: row 0, column 0, row 1, column 1, ...
+        rows = tuple(2 * p for p in self.perm)
+        total = prod(self.dims)
+        return out.transpose(rows + tuple(range(1, out.ndim, 2))).reshape(total, total)
+
+
+def local_unitary(factors) -> PermutedLocal:
     """Tensor product of one unitary per party."""
-    mats = [as_matrix(f) for f in factors]
+    mats = tuple(as_matrix(f) for f in factors)
     for i, m in enumerate(mats):
         require_unitary(m, what=f"factor {i}")
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    return PermutedLocal(tuple(range(len(mats))), mats)
 
 
-def party_permutation(perm, dims) -> np.ndarray:
+def party_permutation(perm, dims) -> PermutedLocal:
     """Unitary that reorders tensor factors: new factor k holds old factor perm[k].
 
     All permuted positions must carry equal dimensions.
@@ -70,13 +101,10 @@ def party_permutation(perm, dims) -> np.ndarray:
     for k, p in enumerate(perm):
         if dims[p] != dims[k]:
             raise DimensionError(f"permutation moves dimension {dims[p]} into a slot of dimension {dims[k]}")
-    total = prod(dims)
-    op = np.eye(total).reshape(dims + (total,))
-    op = op.transpose(tuple(perm) + (n,))
-    return op.reshape(total, total).astype(complex)
+    return PermutedLocal(perm, tuple(np.eye(d, dtype=complex) for d in dims))
 
 
-def _phase_duplicate(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+def _phase_duplicate(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bool:
     # a ~ c*b for a unit-modulus scalar c
     d = a.shape[0]
     c = np.vdot(b, a) / d
@@ -85,82 +113,43 @@ def _phase_duplicate(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     return bool(np.abs(a - c * b).max() <= tol)
 
 
-def _is_local_product(mat: np.ndarray, dims: tuple[int, ...], tol: float = 1e-9) -> bool:
-    """Whether an operator factorizes as a tensor product across every party cut."""
-    if len(dims) == 1:
-        return True
-    d0 = dims[0]
-    rest = prod(dims[1:])
-    tensor = mat.reshape(d0, rest, d0, rest).transpose(0, 2, 1, 3).reshape(d0 * d0, rest * rest)
-    _, s, vh = np.linalg.svd(tensor)
-    if s.size > 1 and s[1] > tol * max(s[0], 1.0):
-        return False
-    tail = (np.sqrt(s[0]) * vh[0]).reshape(rest, rest)
-    return _is_local_product(tail, dims[1:], tol)
-
-
-def is_separability_preserving(mat: np.ndarray, dims) -> bool:
-    """Whether a unitary is a party permutation composed with local unitaries."""
-    dims = tuple(int(d) for d in dims)
-    m = as_matrix(mat)
-    for perm in itertools.permutations(range(len(dims))):
-        if any(dims[p] != dims[k] for k, p in enumerate(perm)):
-            continue
-        residual = party_permutation(perm, dims).conj().T @ m
-        if _is_local_product(residual, dims):
-            return True
-    return False
-
-
 def closure(generators, dims, cap: int = 1024) -> SymmetryGroup:
     """Multiplicative closure of the generators, identity included.
 
-    Every generator must be unitary and a composition of a party
-    permutation with local unitaries (else :class:`ValidationError`), so
-    that the group preserves separability.  Elements, repeated generators
-    included, are deduplicated up to a global phase (the twirl channel is
-    unchanged by phases), so each appears once in the average.  Raises
+    Every generator must be a :class:`PermutedLocal` with unitary factors
+    (else :class:`ValidationError`), so that the group preserves
+    separability; its permutation and factors must fit ``dims`` (else
+    :class:`DimensionError`).  Each element found is multiplied on the
+    right by each generator.  A product that matches an element with the
+    same permutation factor by factor, each factor up to its own phase, is
+    dropped, so every element (repeated generators included) appears once
+    up to a global phase, which the twirl channel ignores.  Raises
     :class:`CapacityError` if the closure grows beyond ``cap`` elements.
     """
     dims = tuple(int(d) for d in dims)
-    total = prod(dims)
     gens = []
     for i, g in enumerate(generators):
-        m = as_matrix(g)
-        if m.shape != (total, total):
-            raise DimensionError(f"generator {i} has shape {m.shape}, expected {(total, total)}")
-        require_unitary(m, what=f"generator {i}")
-        if not is_separability_preserving(m, dims):
-            raise ValidationError(
-                f"generator {i} is not a permutation/local-unitary composition; "
-                "it may not preserve separability"
-            )
-        gens.append(m)
+        if not isinstance(g, PermutedLocal):
+            raise ValidationError(f"generator {i} is not a PermutedLocal, so it may not preserve separability")
+        if g.dims != dims:
+            raise DimensionError(f"generator {i} acts on dims {g.dims}, expected {dims}")
+        for k, f in enumerate(g.factors):
+            require_unitary(f, what=f"generator {i} factor {k}")
+        gens.append(PermutedLocal(party_permutation(g.perm, dims).perm, g.factors))  # a checked permutation
 
-    elements: list[np.ndarray] = [np.eye(total, dtype=complex)]
-
-    def known(candidate: np.ndarray) -> bool:
-        return any(_phase_duplicate(candidate, e, DEDUP_TOL) for e in elements)
-
-    frontier = []
-    for g in gens:  # each against the generators kept so far, so repeats drop out
-        if not known(g):
-            elements.append(g)
-            frontier.append(g)
-    if len(elements) > cap:
-        raise CapacityError(f"group closure exceeded cap {cap}")
-    while frontier:
-        new_frontier = []
-        for g in frontier:
-            for e in list(elements):
-                for candidate in (g @ e, e @ g):
-                    if not known(candidate):
-                        elements.append(candidate)
-                        new_frontier.append(candidate)
-                        if len(elements) > cap:
-                            raise CapacityError(f"group closure exceeded cap {cap}")
-        frontier = new_frontier
-    return SymmetryGroup(dims, tuple(elements))
+    found = [party_permutation(range(len(dims)), dims)]
+    by_perm = {found[0].perm: [found[0]]}
+    for element in found:  # grows while it is walked
+        for g in gens:
+            candidate = element @ g
+            same_perm = by_perm.setdefault(candidate.perm, [])
+            if any(all(map(_phase_duplicate, candidate.factors, e.factors)) for e in same_perm):
+                continue
+            same_perm.append(candidate)
+            found.append(candidate)
+            if len(found) > cap:
+                raise CapacityError(f"group closure exceeded cap {cap}")
+    return SymmetryGroup(dims, tuple(e.matrix() for e in found))
 
 
 def twirl(rho: DensityMatrix, group: SymmetryGroup) -> DensityMatrix:

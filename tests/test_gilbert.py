@@ -191,21 +191,29 @@ class TestEngineAgainstReferences:
     iterate; every trial in between must fail a reference check.
     """
 
-    @pytest.mark.parametrize("symmetric", [False, True], ids=["bell", "bell-swap"])
-    def test_first_five_steps(self, symmetric):
-        group = closure([party_permutation((1, 0), (2, 2))], (2, 2)) if symmetric else None
+    @pytest.mark.parametrize(
+        "target,group",
+        [(BELL, None), (BELL, "swap"), (ghz(3), "ghz3")],
+        ids=["bell", "bell-swap", "ghz3-sym"],
+    )
+    def test_first_five_steps(self, target, group):
+        # Under a group the run decides on the ket's overlaps; the references see the twirled trial.
+        if group == "swap":
+            group = closure([party_permutation((1, 0), (2, 2))], (2, 2))
+        elif group == "ghz3":
+            group = ghz3_group()
         config = SamplerConfig(seed=4)
-        iterates = [run(BELL, HaltCriteria(max_successes=k), group=group, config=config).state for k in range(6)]
+        iterates = [run(target, HaltCriteria(max_successes=k), group=group, config=config).state for k in range(6)]
         trace = iterates[-1].trace
-        kets = StateSampler(config).product_kets((2, 2), trace[-1].trials)
+        kets = StateSampler(config).product_kets(target.dims, trace[-1].trials)
         trials = [0] + [rec.trials for rec in trace]
         for k in range(1, 6):
             prev, step = iterates[k - 1], iterates[k]
             for t in range(trials[k - 1] + 1, trials[k] + 1):
                 ket = kets[t - 1]
                 trial = np.outer(ket, ket.conj()) if group is None else twirl_pure(ket, group)
-                value = preselect(BELL, prev.approx, trial)
-                w, d2 = line_search(BELL, prev.approx, trial)
+                value = preselect(target, prev.approx, trial)
+                w, d2 = line_search(target, prev.approx, trial)
                 if t < trials[k]:
                     assert value <= 0.0 or w in (0.0, 1.0) or not d2 < prev.d2
                     continue
@@ -397,8 +405,10 @@ class TestKetStream:
         [
             (BELL, HaltCriteria(max_successes=400), None),
             (ghz(3), HaltCriteria(max_successes=150), "ghz3"),
+            (ghz(3), HaltCriteria(max_successes=400), None),
+            (max_entangled(3), HaltCriteria(max_successes=400), None),
         ],
-        ids=["bell", "ghz3-sym"],
+        ids=["bell", "ghz3-sym", "ghz3", "max_entangled-3"],
     )
     def test_trace_does_not_depend_on_chunking(self, target, halt, group, monkeypatch):
         group = ghz3_group() if group == "ghz3" else None

@@ -1,3 +1,6 @@
+import itertools
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from sepdist import (
     CapacityError,
     DensityMatrix,
     DimensionError,
+    PermutedLocal,
     StateSampler,
     SamplerConfig,
     ValidationError,
@@ -13,7 +17,6 @@ from sepdist import (
     hsd_sq,
     invariance_check,
     is_ppt,
-    is_separability_preserving,
     local_unitary,
     bell,
     css_max_entangled,
@@ -24,9 +27,17 @@ from sepdist import (
 )
 from conftest import random_product_density, random_unitary, rng_for
 
+I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
+def kron_all(vecs):
+    out = vecs[0]
+    for v in vecs[1:]:
+        out = np.kron(out, v)
+    return out
 
 
 def ket(*digits, dims=None):
@@ -46,15 +57,15 @@ class TestClosure:
         assert np.array_equal(group.elements[0], np.eye(4))
 
     def test_involution(self):
-        group = closure([np.kron(SX, SX)], (2, 2))
+        group = closure([local_unitary([SX, SX])], (2, 2))
         assert group.order == 2
 
     def test_pauli_pair_mod_phase(self):
-        group = closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2))
+        group = closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2))
         assert group.order == 4
 
     def test_products_stay_inside(self):
-        group = closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2))
+        group = closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2))
         for a in group.elements:
             for b in group.elements:
                 prod = a @ b
@@ -69,35 +80,82 @@ class TestClosure:
     def test_repeated_generator_kept_once(self, sign):
         # A repeat kept twice would weight the twirl (rho + 2 S rho S) / 3.
         swap = party_permutation((1, 0), (2, 2))
-        group = closure([swap, sign * swap], (2, 2))
+        group = closure([swap, swap @ local_unitary([sign * I2, I2])], (2, 2))
         assert group.order == 2
-        assert np.array_equal(group.elements[1], swap)
+        assert np.array_equal(group.elements[1], swap.matrix())
 
     def test_cap_exceeded(self):
         with pytest.raises(CapacityError):
-            closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2), cap=2)
+            closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2), cap=2)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             closure([np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex)], (2, 2))
+        with pytest.raises(ValidationError, match="not unitary"):
+            closure([PermutedLocal((0, 1), (np.diag([1.0, 2.0]), I2))], (2, 2))
 
     def test_entangling_generator_rejected(self):
-        assert not is_separability_preserving(CNOT, (2, 2))
         with pytest.raises(ValidationError):
             closure([CNOT], (2, 2))
 
-    def test_swap_and_locals_accepted(self, rng):
+    def test_generator_dims_mismatch(self):
+        with pytest.raises(DimensionError):
+            closure([party_permutation((1, 0), (3, 3))], (2, 2))
+
+    def test_swap_and_locals_accepted(self):
+        # swap, ZZ and swap.XX generate {I, XX, YY, ZZ} x {I, swap} up to phase
         swap = party_permutation((1, 0), (2, 2))
-        assert is_separability_preserving(swap, (2, 2))
-        u = local_unitary([random_unitary(2, rng), random_unitary(2, rng)])
-        assert is_separability_preserving(u, (2, 2))
-        assert is_separability_preserving(swap @ u, (2, 2))
+        group = closure([swap, local_unitary([SZ, SZ]), swap @ local_unitary([SX, SX])], (2, 2))
+        assert group.order == 8
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_symmetric_group_times_flip(self, n):
+        dims = (2,) * n
+        cycle = tuple(range(1, n)) + (0,)
+        generators = [
+            party_permutation((1, 0) + tuple(range(2, n)), dims),
+            party_permutation(cycle, dims),
+            local_unitary([SX] * n),
+        ]
+        assert closure(generators, dims, cap=2048).order == 2 * factorial(n)
+
+
+class TestPermutedLocal:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3, 2), (3, 3, 2)])
+    def test_composition_matches_dense_product(self, dims, rng):
+        perms = [p for p in itertools.permutations(range(len(dims))) if all(dims[q] == dims[k] for k, q in enumerate(p))]
+        elements = []
+        for perm in perms:
+            factors = [random_unitary(d, rng) for d in dims]
+            element = party_permutation(perm, dims) @ local_unitary(factors)
+            dense = party_permutation(perm, dims).matrix() @ local_unitary(factors).matrix()
+            assert np.abs(element.matrix() - dense).max() <= 1e-12
+            elements.append(element)
+        for a in elements:
+            for b in elements:
+                assert np.abs((a @ b).matrix() - a.matrix() @ b.matrix()).max() <= 1e-12
+
+    def test_local_unitary_matrix_is_the_kronecker_product(self, rng):
+        factors = [random_unitary(d, rng) for d in (2, 3, 2)]
+        assert np.array_equal(local_unitary(factors).matrix(), kron_all(factors))
+
+    def test_other_operands_not_composed(self):
+        swap = party_permutation((1, 0), (2, 2))
+        assert swap.__matmul__(np.eye(4)) is NotImplemented
+        with pytest.raises(DimensionError):
+            swap @ party_permutation((1, 0), (3, 3))
 
 
 class TestPartyPermutation:
     def test_swap_action(self):
         swap = party_permutation((1, 0), (2, 2))
-        assert np.allclose(swap @ ket(0, 1), ket(1, 0))
+        assert np.allclose(swap.matrix() @ ket(0, 1), ket(1, 0))
+
+    @pytest.mark.parametrize("dims,perm", [((2, 3, 2), (2, 1, 0)), ((3, 3, 2), (1, 0, 2)), ((2, 2, 2, 2), (3, 0, 2, 1))])
+    def test_sends_product_to_permuted_product(self, dims, perm, rng):
+        vecs = [rng.normal(size=d) + 1j * rng.normal(size=d) for d in dims]
+        moved = party_permutation(perm, dims).matrix() @ kron_all(vecs)
+        assert np.allclose(moved, kron_all([vecs[p] for p in perm]), atol=1e-14)
 
     def test_cycle_action(self):
         cycle = party_permutation((1, 2, 0), (2, 2, 2))
@@ -106,7 +164,7 @@ class TestPartyPermutation:
         c = np.array([1, 1], dtype=complex) / np.sqrt(2)
         vec = np.kron(np.kron(a, b), c)
         expected = np.kron(np.kron(b, c), a)
-        assert np.allclose(cycle @ vec, expected)
+        assert np.allclose(cycle.matrix() @ vec, expected)
 
     def test_unequal_dims_rejected(self):
         with pytest.raises(DimensionError):
@@ -137,7 +195,7 @@ class TestTwirl:
         assert np.allclose(twirl(rho, group).mat, expected, atol=1e-14)
 
     def test_preserves_trace_and_hermiticity(self, rng):
-        group = closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2))
+        group = closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2))
         sampler = StateSampler(SamplerConfig(seed=2))
         for _ in range(5):
             rho = random_product_density((2, 2), sampler)
@@ -161,7 +219,7 @@ class TestTwirl:
             assert is_ppt(twirl(random_product_density(dims, sampler), group), tol=1e-9)
 
     def test_twirl_pure_matches_matrix_twirl(self):
-        group = closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2))
+        group = closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2))
         sampler = StateSampler(SamplerConfig(seed=8))
         v = sampler.product_kets((2, 2), 1)[0]
         via_matrix = twirl(pure_density(v, (2, 2)), group).mat
@@ -205,7 +263,7 @@ class TestPreselectionInvariance:
         # symmetry stabilizes both the target and the iterate
         from sepdist import preselect
 
-        group = closure([np.kron(SX, SX), np.kron(SZ, SZ)], (2, 2))
+        group = closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2))
         target = bell()
         approx = css_max_entangled(2)
         assert invariance_check(target, group) <= 1e-12
