@@ -8,6 +8,9 @@ symmetrization over finite groups, and turn the final approximation into
 an entanglement witness.
 """
 
+# Set before the submodules load: fileio records it in run metadata.
+__version__ = "0.1.0"
+
 from .analysis import (
     ExtrapolationFit,
     PowerFit,
@@ -74,4 +77,3 @@ from .symmetry import (
     twirl_pure,
 )
 
-__version__ = "0.1.0"

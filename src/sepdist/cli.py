@@ -117,6 +117,15 @@ def _write_or_print(text: str, path) -> None:
         fp.write(text)
 
 
+def _check_writable(path, step: str) -> None:
+    """Fail with ``step``'s message unless ``path`` can be opened for writing; leave no file behind."""
+    existed = os.path.exists(path)
+    with _failures(step), open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_run(args) -> int:
     target = _load_density(args.state)
     if args.dims is not None and _parse_dims(args.dims) != target.dims:
@@ -141,6 +150,11 @@ def cmd_run(args) -> int:
         )
     with _failures("bad sampler settings", raw=True):
         config = states.SamplerConfig(mode="real" if args.real_only else "complex", seed=args.seed)
+
+    # Checked before the run, so that a bad path does not lose a long run's result.
+    for path, step in ((args.trace, "cannot write trace"), (args.meta, "cannot write")):
+        if path is not None:
+            _check_writable(path, f"{step} {path!r}")
 
     with _failures("cannot run"):
         result = gilbert.run(target, halt, init=init, group=group, config=config)

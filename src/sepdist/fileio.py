@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import __version__
 from .analysis import ExtrapolationFit, PowerFit, Witness
 from .errors import FileFormatError, ValidationError
 from .gilbert import TraceRecord
@@ -176,7 +177,11 @@ def run_metadata(
     Besides the outcome it records the settings the run depends on: the
     state argument as given (a name or a file path), seed, sampler mode,
     initial state, symmetry generator specs and closure cap, and the halt
-    criteria (by ``HaltCriteria`` field name).
+    criteria (by ``HaltCriteria`` field name).  ``versions`` holds the
+    ``sepdist`` and ``numpy`` versions: a seeded trajectory replays bit for
+    bit only on the same numpy kernels, since its bits depend on how they
+    round (numpy's complex multiply, for one, may round a squared modulus
+    ``re*re + im*im`` as the fused multiply-add ``fma(re, re, im*im)``).
     """
     return {
         "state": state_name,
@@ -191,6 +196,7 @@ def run_metadata(
         "c_t": int(trials),
         "c_s": int(successes),
         "wall_seconds": float(wall_seconds),
+        "versions": {"sepdist": __version__, "numpy": np.__version__},
     }
 
 

@@ -219,16 +219,18 @@ def run(
     return RunResult(state, state.trace, time.perf_counter() - begin)
 
 
-def _quad_forms(mat: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """Row-wise <k| M |k> for a stack of kets (real for Hermitian M).
+def _quad_forms(mat: np.ndarray, kets: np.ndarray, bras: np.ndarray) -> np.ndarray:
+    """Row-wise <k| M |k> for a stack of kets and their conjugates ``bras`` (real for Hermitian M).
 
-    A lone row is evaluated inside a two-row block: numpy sends a one-row
-    product to a matrix-vector kernel, which rounds differently from the
-    matrix-matrix one, and a window's size must not change a decision.
+    The bits depend on two numpy operations: the BLAS product ``bras @ mat``
+    and the ``einsum`` row sum against ``kets``.  A lone row is evaluated
+    inside a two-row block: numpy sends a one-row product to a matrix-vector
+    kernel, which rounds differently from the matrix-matrix one, and a
+    window's size must not change a decision.
     """
     if len(kets) == 1:
-        return _quad_forms(mat, np.concatenate([kets, kets]))[:1]
-    return np.einsum("ni,ni->n", kets.conj() @ mat, kets).real
+        return _quad_forms(mat, np.concatenate([kets, kets]), np.concatenate([bras, bras]))[:1]
+    return np.einsum("ni,ni->n", bras @ mat, kets).real
 
 
 class _Engine:
@@ -249,7 +251,7 @@ class _Engine:
         # Keep the logged distances monotone: drift corrections may not move d2 up.
         self.state.d2 = min(self.state.d2, exact) if self.state.trace else exact
 
-    def try_accept(self, ket: np.ndarray, q0: float, q1: float) -> Optional[str]:
+    def try_accept(self, ket: np.ndarray, q0: float, q1: float, bra: Optional[np.ndarray] = None) -> Optional[str]:
         """Decide one counted trial; on acceptance mix it into the iterate.
 
         ``ket`` has passed the loop's preselection; ``q0``/``q1`` are its
@@ -257,7 +259,8 @@ class _Engine:
         trial takes its place with the same ``q0``/``q1``: the target and the
         iterate are group-invariant, so the twirl changes only the trial's
         own norm ``s2``.  The unclamped minimizer must lie in [0, 1] and the
-        new distance must be a strict float improvement.  Returns the
+        new distance must be a strict float improvement.  ``bra`` is
+        ``ket.conj()`` when the caller already has it.  Returns the
         rejection reason, or ``None`` on acceptance.
         """
         if self.state.group is None:
@@ -279,7 +282,7 @@ class _Engine:
             return REJECT_DEGENERATE
         self.amat *= w
         if trial_mat is None:
-            self.amat += (1.0 - w) * np.outer(ket, ket.conj())
+            self.amat += (1.0 - w) * np.outer(ket, ket.conj() if bra is None else bra)
         else:
             self.amat += (1.0 - w) * trial_mat
         self.mu01 = w * self.mu01 + (1.0 - w) * q0
@@ -300,14 +303,17 @@ class _Engine:
 def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> None:
     """Trial ``t`` is ket ``t`` of the sampler's stream; no ket is skipped.
 
-    Kets arrive in chunks of ``CHUNK``; their target overlaps are computed
-    once per chunk.  Iterate overlaps are computed on windows that start
-    at ``MIN_WINDOW`` kets after an acceptance (the iterate moved) and
-    double while trials keep failing; a window never runs past the trials
-    the halt criteria have left.  Each decision depends only on its ket
-    and the current iterate, and ``_quad_forms`` rounds a ket's overlaps
-    alike in every window, so the trace does not depend on either
-    constant.
+    Kets arrive in chunks of ``CHUNK``, one ``product_kets`` call each;
+    their conjugates are taken once per chunk and serve the target
+    overlaps (computed once per chunk), every window's iterate overlaps
+    and the projector of an accepted ket.  A window of iterate overlaps
+    starts after an acceptance (the iterate moved) as long as the last gap
+    between acceptances, clamped to ``[MIN_WINDOW, CHUNK]``, and doubles
+    while trials keep failing; it never runs past the trials the halt
+    criteria have left.  Each decision depends only on its ket and the
+    current iterate, and ``_quad_forms`` rounds a ket's overlaps alike in
+    every window, so the trace does not depend on the window sizes or on
+    either constant.
     """
     engine = _Engine(state)
     dims = state.target.dims
@@ -319,18 +325,19 @@ def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> Non
             break
         if start == CHUNK:
             kets = sampler.product_kets(dims, CHUNK)
-            q0s = _quad_forms(engine.tmat, kets)
+            bras = kets.conj()
+            q0s = _quad_forms(engine.tmat, kets, bras)
             start = 0
         stop = min(start + window, start + left, CHUNK)
-        q1s = _quad_forms(engine.amat, kets[start:stop])
+        q1s = _quad_forms(engine.amat, kets[start:stop], bras[start:stop])
         flags = q0s[start:stop] - q1s - engine.mu01 + engine.mu11 > 0.0
         before = state.trials - start  # trials counted before ket 0 of this chunk
         for offset in flags.nonzero()[0]:
             idx = start + int(offset)
             state.trials = before + idx + 1
-            if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset])) is None:
-                last_success = state.trials
-                start, window = idx + 1, MIN_WINDOW  # the iterate moved; later kets need fresh overlaps
+            if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset]), bras[idx]) is None:
+                gap, last_success = state.trials - last_success, state.trials
+                start, window = idx + 1, min(max(gap, MIN_WINDOW), CHUNK)  # the iterate moved
                 break
         else:
             state.trials = before + stop

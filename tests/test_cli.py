@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sepdist
 from sepdist import cli, fileio, fit_extrapolation, gilbert, named_state
 from conftest import exact_decay_trace
 
@@ -42,8 +43,24 @@ class TestRun:
         records = fileio.read_trace(trace)
         assert len(records) == 20
         assert all(b.d2 < a.d2 for a, b in zip(records, records[1:]))
-        assert json.loads(meta.read_text())["c_s"] == 20
+        doc = json.loads(meta.read_text())
+        assert doc["c_s"] == 20
+        assert doc["versions"] == {"sepdist": sepdist.__version__, "numpy": np.__version__}
         assert "halted:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,message", [("--trace", "cannot write trace"), ("--meta", "cannot write")])
+    def test_unwritable_output_is_an_io_error_before_the_run(self, flag, message, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(gilbert, "run", lambda *args, **kwargs: runs.append(args))
+        outputs = {"--trace": tmp_path / "run.csv", "--meta": tmp_path / "meta.json"}
+        outputs[flag] = tmp_path / "no_such_dir" / "out"
+        args = ["run", "--state", "bell", "--halt-cs", "5", *(arg for pair in outputs.items() for arg in map(str, pair))]
+        assert cli.main(args) == cli.EXIT_IO
+        assert runs == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"sepdist: {message} {str(outputs[flag])!r}:")
+        assert list(tmp_path.iterdir()) == []
 
     def test_meta_replays_the_run(self, tmp_path):
         named = tmp_path / "named.json"  # its own name field is not a state name

@@ -50,6 +50,48 @@ class _ZeroSecondPartyOfFirstKet:
         return out
 
 
+def _per_party_product_kets(sampler, dims, count):
+    """Reference sampler: each party block scaled to unit norm on its own, then joined by ``einsum``.
+
+    Its norm is ``np.linalg.norm``'s arithmetic, ``add.reduce`` of the
+    block's squared moduli, and a row of near-zero norm is redrawn from the
+    sampler's stream before the next party is touched.
+    """
+
+    def unit_rows(amps):
+        norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1))
+        bad = norms < 1e-150
+        while np.any(bad):
+            amps[bad] = sampler._raw_amplitudes(amps.shape[1], int(bad.sum()))
+            norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1))
+            bad = norms < 1e-150
+        return amps / norms[:, None]
+
+    amps = sampler._raw_amplitudes(sum(dims), count)
+    ends = np.cumsum(dims)
+    kets = unit_rows(amps[:, : ends[0]])
+    for start, stop in zip(ends[:-1], ends[1:]):
+        kets = np.einsum("ni,nj->nij", kets, unit_rows(amps[:, start:stop])).reshape(count, -1)
+    return kets
+
+
+class TestSamplerMatchesPerPartyReference:
+    """``product_kets`` gives the per-party reference's kets bit for bit.
+
+    The dims put parties of 8 and more amplitudes, whose norms numpy sums
+    pairwise, next to short ones, whose norms it sums left to right.
+    ``TestSampler::test_zero_norm_party_is_redrawn`` compares a redraw too.
+    """
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 3), (2, 3, 2), (2, 8), (9, 2), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("mode", ["complex", "real"], ids=GAUSSIAN_IDS)
+    def test_bit_identical(self, dims, mode):
+        config = SamplerConfig(mode=mode, seed=21)
+        sampler, reference = StateSampler(config), StateSampler(config)
+        for count in (1, 7, 2048):
+            assert np.array_equal(sampler.product_kets(dims, count), _per_party_product_kets(reference, dims, count))
+
+
 class TestSampler:
     @pytest.mark.parametrize("mode", ["complex", "real"], ids=GAUSSIAN_IDS)
     def test_unit_norm(self, mode):
@@ -105,13 +147,15 @@ class TestSampler:
 
     @pytest.mark.parametrize("mode", ["complex"], ids=["gaussian"])
     def test_zero_norm_party_is_redrawn(self, mode, monkeypatch):
-        sampler = StateSampler(SamplerConfig(mode=mode, seed=6))
+        sampler, reference = StateSampler(SamplerConfig(mode=mode, seed=6)), StateSampler(SamplerConfig(mode=mode, seed=6))
         zeroed = _ZeroSecondPartyOfFirstKet(sampler._rng, first_party=2, second_party=3)
         monkeypatch.setattr(sampler, "_rng", zeroed)
+        monkeypatch.setattr(reference, "_rng", _ZeroSecondPartyOfFirstKet(reference._rng, first_party=2, second_party=3))
         kets = sampler.product_kets((2, 3), 4)
         assert zeroed.sizes == [(4, 5, 2), (1, 3, 2)]  # the block, then one redraw
         assert np.isfinite(kets).all()
         assert np.abs(np.linalg.norm(kets, axis=1) - 1.0).max() <= 1e-12
+        assert np.array_equal(kets, _per_party_product_kets(reference, (2, 3), 4))
 
     def test_bad_dimension(self):
         with pytest.raises(ParameterError):
