@@ -118,12 +118,20 @@ def _write_or_print(text: str, path) -> None:
 
 
 def _check_writable(path, step: str) -> None:
-    """Fail with ``step``'s message unless ``path`` can be opened for writing; leave no file behind."""
-    existed = os.path.exists(path)
-    with _failures(step), open(path, "a", encoding="utf-8"):
-        pass
-    if not existed:
-        os.remove(path)
+    """Fail with ``step``'s message unless ``path`` can be written; create and remove nothing.
+
+    An existing file (or a symlink's existing target) is opened for append;
+    for a missing one, the directory it would be made in (a dangling
+    symlink's target's) must be a writable directory.
+    """
+    real = os.path.realpath(path)
+    if os.path.exists(real):
+        with _failures(step), open(real, "a", encoding="utf-8"):
+            pass
+        return
+    parent = os.path.dirname(real)
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+        raise CliError(EXIT_IO, f"{step}: no writable directory {parent!r}")
 
 
 def cmd_run(args) -> int:

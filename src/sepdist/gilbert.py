@@ -251,7 +251,7 @@ class _Engine:
         # Keep the logged distances monotone: drift corrections may not move d2 up.
         self.state.d2 = min(self.state.d2, exact) if self.state.trace else exact
 
-    def try_accept(self, ket: np.ndarray, q0: float, q1: float, bra: Optional[np.ndarray] = None) -> Optional[str]:
+    def try_accept(self, ket: np.ndarray, q0: float, q1: float) -> Optional[str]:
         """Decide one counted trial; on acceptance mix it into the iterate.
 
         ``ket`` has passed the loop's preselection; ``q0``/``q1`` are its
@@ -259,8 +259,7 @@ class _Engine:
         trial takes its place with the same ``q0``/``q1``: the target and the
         iterate are group-invariant, so the twirl changes only the trial's
         own norm ``s2``.  The unclamped minimizer must lie in [0, 1] and the
-        new distance must be a strict float improvement.  ``bra`` is
-        ``ket.conj()`` when the caller already has it.  Returns the
+        new distance must be a strict float improvement.  Returns the
         rejection reason, or ``None`` on acceptance.
         """
         if self.state.group is None:
@@ -282,7 +281,7 @@ class _Engine:
             return REJECT_DEGENERATE
         self.amat *= w
         if trial_mat is None:
-            self.amat += (1.0 - w) * np.outer(ket, ket.conj() if bra is None else bra)
+            self.amat += (1.0 - w) * np.outer(ket, ket.conj())
         else:
             self.amat += (1.0 - w) * trial_mat
         self.mu01 = w * self.mu01 + (1.0 - w) * q0
@@ -305,15 +304,13 @@ def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> Non
 
     Kets arrive in chunks of ``CHUNK``, one ``product_kets`` call each;
     their conjugates are taken once per chunk and serve the target
-    overlaps (computed once per chunk), every window's iterate overlaps
-    and the projector of an accepted ket.  A window of iterate overlaps
-    starts after an acceptance (the iterate moved) as long as the last gap
-    between acceptances, clamped to ``[MIN_WINDOW, CHUNK]``, and doubles
-    while trials keep failing; it never runs past the trials the halt
-    criteria have left.  Each decision depends only on its ket and the
-    current iterate, and ``_quad_forms`` rounds a ket's overlaps alike in
-    every window, so the trace does not depend on the window sizes or on
-    either constant.
+    overlaps (computed once per chunk) and every window's iterate
+    overlaps.  A window of iterate overlaps starts at ``MIN_WINDOW`` kets
+    after an acceptance (the iterate moved) and doubles while trials keep
+    failing; it never runs past the trials the halt criteria have left.
+    Each decision depends only on its ket and the current iterate, and
+    ``_quad_forms`` rounds a ket's overlaps alike in every window, so the
+    trace does not depend on either constant.
     """
     engine = _Engine(state)
     dims = state.target.dims
@@ -335,9 +332,9 @@ def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> Non
         for offset in flags.nonzero()[0]:
             idx = start + int(offset)
             state.trials = before + idx + 1
-            if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset]), bras[idx]) is None:
-                gap, last_success = state.trials - last_success, state.trials
-                start, window = idx + 1, min(max(gap, MIN_WINDOW), CHUNK)  # the iterate moved
+            if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset])) is None:
+                last_success = state.trials
+                start, window = idx + 1, MIN_WINDOW  # the iterate moved; later kets need fresh overlaps
                 break
         else:
             state.trials = before + stop

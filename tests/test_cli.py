@@ -48,19 +48,37 @@ class TestRun:
         assert doc["versions"] == {"sepdist": sepdist.__version__, "numpy": np.__version__}
         assert "halted:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("link", [False, True])
     @pytest.mark.parametrize("flag,message", [("--trace", "cannot write trace"), ("--meta", "cannot write")])
-    def test_unwritable_output_is_an_io_error_before_the_run(self, flag, message, tmp_path, monkeypatch, capsys):
+    def test_unwritable_output_is_an_io_error_before_the_run(self, flag, message, link, tmp_path, monkeypatch, capsys):
         runs = []
         monkeypatch.setattr(gilbert, "run", lambda *args, **kwargs: runs.append(args))
         outputs = {"--trace": tmp_path / "run.csv", "--meta": tmp_path / "meta.json"}
         outputs[flag] = tmp_path / "no_such_dir" / "out"
+        if link:  # a symlink into the missing directory
+            (tmp_path / "link").symlink_to(outputs[flag])
+            outputs[flag] = tmp_path / "link"
         args = ["run", "--state", "bell", "--halt-cs", "5", *(arg for pair in outputs.items() for arg in map(str, pair))]
         assert cli.main(args) == cli.EXIT_IO
         assert runs == []
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"sepdist: {message} {str(outputs[flag])!r}:")
-        assert list(tmp_path.iterdir()) == []
+        assert [p.name for p in tmp_path.iterdir()] == (["link"] if link else [])
+
+    def test_output_check_creates_and_removes_nothing(self, tmp_path):
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old")
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "missing.csv")  # dangling, in a writable directory
+        for path in (kept, link, tmp_path / "new.csv"):
+            cli._check_writable(str(path), "cannot write")
+        assert kept.read_text() == "old"
+        assert link.is_symlink() and not (tmp_path / "missing.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv", "link"]
+        with pytest.raises(cli.CliError) as info:
+            cli._check_writable(str(tmp_path), "cannot write")  # a directory
+        assert info.value.code == cli.EXIT_IO
 
     def test_meta_replays_the_run(self, tmp_path):
         named = tmp_path / "named.json"  # its own name field is not a state name
