@@ -47,7 +47,6 @@ from .linalg import (
     hsd_sq,
     is_ppt,
     maximally_mixed,
-    min_eig_partial_transpose,
     partial_transpose,
     pure_density,
 )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateError, DimensionError, ParameterError
 from .gilbert import TraceRecord
-from .linalg import DensityMatrix, as_matrix, contract_party, hs_inner, require_hermitian
+from .linalg import DensityMatrix, as_matrix, contract_party, hermitize, hs_inner, require_hermitian
 
 DEFAULT_STRIDE = 100
 DEFAULT_RESTARTS = 64
@@ -326,7 +326,8 @@ def build_witness(
     """Witness from the difference operator and its separable overlap bound."""
     if target.dims != approx.dims:
         raise DimensionError(f"dims mismatch: {target.dims} vs {approx.dims}")
-    diff = target.mat - approx.mat
+    # Each state may be off Hermitian by HERMITIAN_TOL, so their difference by twice that.
+    diff = hermitize(target.mat - approx.mat)
     sep_bound, _ = max_sep_overlap(diff, target.dims, restarts=restarts, rng=rng)
     value = hs_inner(target.mat, diff)
     return Witness(

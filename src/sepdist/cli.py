@@ -159,11 +159,6 @@ def cmd_run(args) -> int:
     with _failures("bad sampler settings", raw=True):
         config = states.SamplerConfig(mode="real" if args.real_only else "complex", seed=args.seed)
 
-    # Checked before the run, so that a bad path does not lose a long run's result.
-    for path, step in ((args.trace, "cannot write trace"), (args.meta, "cannot write")):
-        if path is not None:
-            _check_writable(path, f"{step} {path!r}")
-
     with _failures("cannot run"):
         result = gilbert.run(target, halt, init=init, group=group, config=config)
 
@@ -262,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--real-only", action="store_true", help="draw real-amplitude trial states")
     runp.add_argument("--trace", help="write the success trace CSV here")
     runp.add_argument("--meta", help="write run metadata JSON here")
-    runp.set_defaults(func=cmd_run)
+    runp.set_defaults(func=cmd_run, outputs={"trace": "cannot write trace", "meta": "cannot write"})
 
     fitp = sub.add_parser("fit", help="extrapolate a trace file")
     fitp.add_argument("trace", help="trace CSV path")
@@ -270,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     fitp.add_argument("--b-min", type=float, default=1.0, help="lower end of the exponent search range (0 < b_min <= b_max)")
     fitp.add_argument("--b-max", type=float, default=20.0, help="upper end of the exponent search range; equal to --b-min fixes the exponent")
     fitp.add_argument("--out", help="write the report here instead of stdout")
-    fitp.set_defaults(func=cmd_fit)
+    fitp.set_defaults(func=cmd_fit, outputs={"out": "cannot write"})
 
     witp = sub.add_parser("witness", help="build an entanglement witness")
     witp.add_argument("--state", required=True, help="target state: name or file")
@@ -285,12 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     witp.add_argument("--seed", type=int, default=0)
     witp.add_argument("--report", help="write the report here instead of stdout")
     witp.add_argument("--operator", help="write the witness operator state file here")
-    witp.set_defaults(func=cmd_witness)
+    witp.set_defaults(func=cmd_witness, outputs={"operator": "cannot write operator", "report": "cannot write"})
 
     statep = sub.add_parser("state", help="write a named reference state")
     statep.add_argument("name", help="bell, max_entangled:d, max_entangled_css:d, ghz:N, ghz_css:N, upb_tiles, real_limit_bell")
     statep.add_argument("--out", help="write the state file here instead of stdout")
-    statep.set_defaults(func=cmd_state)
+    statep.set_defaults(func=cmd_state, outputs={"out": "cannot write"})
 
     return parser
 
@@ -299,6 +294,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Before the command's work, so that a bad path does not lose a long computation's result.
+        for dest, step in args.outputs.items():
+            path = getattr(args, dest)
+            if path is not None:
+                _check_writable(path, f"{step} {path!r}")
         return args.func(args)
     except CliError as exc:
         print(f"sepdist: {exc}", file=sys.stderr)
@@ -307,3 +307,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -44,7 +44,7 @@ MIN_WINDOW = 64  # kets whose iterate overlaps are computed right after an accep
 
 @dataclass(frozen=True)
 class HaltCriteria:
-    """Stop conditions for a run; at least one must be set.
+    """Stop conditions for a run, at least one set; :meth:`trials_left` is the one halt test.
 
     ``stall_trials`` counts trials since the last accepted correction and
     guarantees termination on (nearly) separable targets; ``max_trials``
@@ -71,22 +71,23 @@ class HaltCriteria:
         """The criteria that are set, by field name."""
         return {k: v for k, v in asdict(self).items() if v is not None}
 
-    def reached(self, state: "RunState") -> bool:
-        """The distance target or the success target has been met."""
-        return (self.target_d2 is not None and state.d2 <= self.target_d2) or (
-            self.max_successes is not None and state.successes >= self.max_successes
-        )
+    def trials_left(self, state: "RunState") -> float:
+        """Trials the run may still make; it stops when this is at most 0.
 
-    def trials_left(self, state: "RunState", last_success: int) -> float:
-        """Trials that may still run before ``max_trials`` or ``stall_trials`` fires.
-
-        ``last_success`` is the trial count at the last acceptance (or at
-        the start of the run); ``math.inf`` when neither limit is set.
+        0 once the distance or success target is met; otherwise the fewer
+        trials left under ``max_trials`` and ``stall_trials``, or
+        ``math.inf`` when neither is set.  The stall count runs from the
+        last acceptance, ``state.trace[-1].trials`` (0 with an empty trace).
         """
+        if (self.target_d2 is not None and state.d2 <= self.target_d2) or (
+            self.max_successes is not None and state.successes >= self.max_successes
+        ):
+            return 0
         left = math.inf
         if self.max_trials is not None:
             left = min(left, self.max_trials - state.trials)
         if self.stall_trials is not None:
+            last_success = state.trace[-1].trials if state.trace else 0
             left = min(left, self.stall_trials - (state.trials - last_success))
         return left
 
@@ -186,7 +187,7 @@ def run(
     config: Optional[SamplerConfig] = None,
     sampler: Optional[StateSampler] = None,
 ) -> RunResult:
-    """Iterate trials until a halt criterion fires.
+    """Iterate trials while ``halt.trials_left`` is positive.
 
     ``init`` defaults to the maximally mixed state, which is separable by
     construction and not checked.  A given init must be separable, or
@@ -314,12 +315,8 @@ def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> Non
     """
     engine = _Engine(state)
     dims = state.target.dims
-    last_success = state.trials
     start, window = CHUNK, MIN_WINDOW  # start == CHUNK: the chunk is used up
-    while not halt.reached(state):
-        left = halt.trials_left(state, last_success)
-        if left <= 0:
-            break
+    while (left := halt.trials_left(state)) > 0:
         if start == CHUNK:
             kets = sampler.product_kets(dims, CHUNK)
             bras = kets.conj()
@@ -333,7 +330,6 @@ def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> Non
             idx = start + int(offset)
             state.trials = before + idx + 1
             if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset])) is None:
-                last_success = state.trials
                 start, window = idx + 1, MIN_WINDOW  # the iterate moved; later kets need fresh overlaps
                 break
         else:

@@ -36,19 +36,14 @@ def as_matrix(obj) -> np.ndarray:
     return mat
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest entrywise deviation from M = M^dagger."""
-    return float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0
-
-
-def require_hermitian(mat: np.ndarray, tol: float = HERMITIAN_TOL, what: str = "matrix") -> None:
-    """Raise :class:`ValidationError` unless ``mat`` is finite and Hermitian within ``tol``."""
+def require_hermitian(mat: np.ndarray, what: str = "matrix") -> None:
+    """Raise :class:`ValidationError` unless ``mat`` is finite and Hermitian within ``HERMITIAN_TOL``."""
     # Every comparison with NaN is false, so the defect test alone would pass it.
     if not np.isfinite(mat).all():
         raise ValidationError(f"{what} has non-finite entries")
-    defect = hermiticity_defect(mat)
-    if defect > tol:
-        raise ValidationError(f"{what} is not Hermitian (defect {defect:.3e} > {tol:.0e})")
+    defect = float(np.abs(mat - mat.conj().T).max()) if mat.size else 0.0  # largest entrywise |M - M^dagger|
+    if defect > HERMITIAN_TOL:
+        raise ValidationError(f"{what} is not Hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.0e})")
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -146,20 +141,18 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     ``party``.  Hermiticity of the input is inherited by the output, up to
     rounding.
 
-    Leading axes are batch axes: ``mat`` may be a stack ``(..., D, D)`` and
-    ``vec`` a stack ``(..., d)``.  Their batch axes broadcast against each
-    other, so one operator can be pinned to a stack of vectors, and the
-    result is a stack ``(..., D/d, D/d)``.  The pinned bra and ket axes are
-    moved first, so the contraction is one matrix product of the vectors'
+    ``mat`` is one ``(D, D)`` operator; ``vec`` is one vector ``(d,)`` or a
+    stack ``(..., d)``, and the result is then a stack ``(..., D/d, D/d)``,
+    one pinned operator per vector.  The pinned bra and ket axes are moved
+    first, so the contraction is one BLAS product of the vectors'
     ``conj(b) (x) b`` rows with the ``(d*d, (D/d)**2)`` reshape of the
-    operator; one operator pinned to a stack of vectors is a single BLAS
-    ``matmul``.
+    operator.
     """
     dims = tuple(int(d) for d in dims)
     n = len(dims)
     total = prod(dims)
     m = mat.mat if isinstance(mat, DensityMatrix) else np.asarray(mat, dtype=complex)
-    if m.shape[-2:] != (total, total):
+    if m.shape != (total, total):
         raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
     if not 0 <= party < n:
         raise DimensionError(f"party index {party} out of range for {n} parties")
@@ -170,19 +163,10 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     pre = prod(dims[:party])
     post = total // (pre * d)
     rest = pre * post
-    lead = m.shape[:-2]
-    k = len(lead)
-    tensor = m.reshape(lead + (pre, d, post, pre, d, post))
-    x = tensor.transpose(tuple(range(k)) + (k + 1, k + 4, k, k + 2, k + 3, k + 5)).reshape(lead + (d * d, rest * rest))
+    x = m.reshape(pre, d, post, pre, d, post).transpose(1, 4, 0, 2, 3, 5).reshape(d * d, rest * rest)
     # Row (bra) index contracts with conj(b), column (ket) index with b.
-    w = (vec.conj()[..., :, None] * vec[..., None, :]).reshape(vec.shape[:-1] + (d * d,))
-    if not lead:  # one operator: each vector is a row of one product
-        return (w.reshape(-1, d * d) @ x).reshape(vec.shape[:-1] + (rest, rest))
-    try:
-        out = np.matmul(w[..., None, :], x)
-    except ValueError:  # the only shapes left unchecked are the batch axes
-        raise DimensionError(f"batch axes of matrix {m.shape} and vector {vec.shape} do not broadcast") from None
-    return out.reshape(out.shape[:-2] + (rest, rest))
+    w = (vec.conj()[..., :, None] * vec[..., None, :]).reshape(-1, d * d)
+    return (w @ x).reshape(vec.shape[:-1] + (rest, rest))
 
 
 def partial_transpose(rho, party: int, dims=None) -> np.ndarray:
@@ -210,23 +194,20 @@ def partial_transpose(rho, party: int, dims=None) -> np.ndarray:
     return tensor.transpose(axes).reshape(total, total)
 
 
-def min_eig_partial_transpose(rho: DensityMatrix) -> float:
-    """Smallest partial-transpose eigenvalue over all bipartitions.
+def is_ppt(rho: DensityMatrix, tol: float = PSD_TOL) -> bool:
+    """Positive partial transpose on every bipartition (necessary for separability).
 
-    Transposing a subset of parties has the same spectrum as transposing its
-    complement, so only subsets containing party 0 are skipped.
+    False at the first bipartition whose partial transpose has an
+    eigenvalue below ``-tol``.  Transposing a subset of parties has the
+    same spectrum as transposing its complement, so only the subsets
+    without party 0 are tried.
     """
     n = len(rho.dims)
-    lowest = float("inf")
     for r in range(1, n):
         for subset in itertools.combinations(range(1, n), r):
             mat = rho.mat
             for party in subset:
                 mat = partial_transpose(mat, party, rho.dims)
-            lowest = min(lowest, float(np.linalg.eigvalsh(mat)[0]))
-    return lowest
-
-
-def is_ppt(rho: DensityMatrix, tol: float = PSD_TOL) -> bool:
-    """Positive partial transpose on every bipartition (necessary for separability)."""
-    return min_eig_partial_transpose(rho) >= -tol
+            if np.linalg.eigvalsh(mat)[0] < -tol:
+                return False
+    return True

@@ -38,11 +38,11 @@ class SymmetryGroup:
         return len(self.elements)
 
 
-def require_unitary(mat: np.ndarray, tol: float = UNITARY_TOL, what: str = "matrix") -> None:
+def require_unitary(mat: np.ndarray, what: str = "matrix") -> None:
     m = as_matrix(mat)
     defect = float(np.linalg.norm(m @ m.conj().T - np.eye(m.shape[0])))
-    if defect > tol:
-        raise ValidationError(f"{what} is not unitary (defect {defect:.3e} > {tol:.0e})")
+    if defect > UNITARY_TOL:
+        raise ValidationError(f"{what} is not unitary (defect {defect:.3e} > {UNITARY_TOL:.0e})")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ import pytest
 
 from sepdist import (
     DegenerateError,
+    DensityMatrix,
     DimensionError,
     ParameterError,
     TraceRecord,
@@ -360,13 +361,16 @@ class TestBatchedRestarts:
 
 
 def nested_pinning(op, dims, vecs, p):
-    """Operators on party p, the other parties pinned one call each from the last: the reference."""
-    cur, cur_dims = op, list(dims)
-    for q in range(len(dims) - 1, -1, -1):
-        if q != p:
-            cur = contract_party(cur, q, vecs[q], tuple(cur_dims))
-            del cur_dims[q]
-    return cur
+    """Operators on party p, the other parties pinned one call each from the last, row by row: the reference."""
+    pinned = []
+    for r in range(len(vecs[0])):
+        cur, cur_dims = op, list(dims)
+        for q in range(len(dims) - 1, -1, -1):
+            if q != p:
+                cur = contract_party(cur, q, vecs[q][r], tuple(cur_dims))
+                del cur_dims[q]
+        pinned.append(cur)
+    return np.stack(pinned)
 
 
 class TestOneCallPinning:
@@ -419,6 +423,17 @@ class TestWitness:
         kets = StateSampler(SamplerConfig(seed=5)).product_kets((2, 2), 1000)
         values = np.einsum("ni,ni->n", kets.conj() @ w.operator, kets).real
         assert values.max() <= 1e-9
+
+    def test_states_non_hermitian_within_tolerance(self):
+        # Each state is within HERMITIAN_TOL of Hermitian, their difference is not.
+        target = np.eye(4, dtype=complex) / 4
+        target[0, 1], target[1, 0] = 0.1 + 0.8e-12, 0.1
+        approx = np.eye(4, dtype=complex) / 4
+        approx[0, 1], approx[1, 0] = 0.05, 0.05 + 0.8e-12
+        w = build_witness(DensityMatrix((2, 2), target), DensityMatrix((2, 2), approx), restarts=4, rng=rng_for(0))
+        assert np.array_equal(w.operator, w.operator.conj().T)
+        assert w.sep_bound == pytest.approx(0.05, abs=1e-9)
+        assert w.target_value == pytest.approx(0.01, abs=1e-9)
 
     def test_witness_operator_structure(self):
         w = build_witness(bell(), css_max_entangled(2), restarts=16, rng=rng_for(3))

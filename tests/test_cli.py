@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sepdist
-from sepdist import cli, fileio, fit_extrapolation, gilbert, named_state
+from sepdist import analysis, cli, fileio, fit_extrapolation, gilbert, named_state, states
 from conftest import exact_decay_trace
 
 
@@ -130,6 +134,42 @@ def test_negative_seed_is_an_argument_error(command, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "nonnegative" in err
+
+
+WITNESS = ["witness", "--state", "bell", "--css", "max_entangled_css:2"]
+
+
+@pytest.mark.parametrize(
+    "command, flag, message, work",
+    [
+        (["fit", "TRACE", "--stride", "1"], "--out", "cannot write", (analysis, "fit_extrapolation")),
+        (WITNESS, "--report", "cannot write", (analysis, "build_witness")),
+        (WITNESS, "--operator", "cannot write operator", (analysis, "build_witness")),
+        (["state", "bell"], "--out", "cannot write", (states, "named_state")),
+    ],
+    ids=["fit-out", "witness-report", "witness-operator", "state-out"],
+)
+def test_unwritable_output_is_an_io_error_before_the_work(command, flag, message, work, trace_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(*work, lambda *args, **kwargs: calls.append(args))
+    before = sorted(tmp_path.iterdir())
+    out_path = tmp_path / "no_such_dir" / "out.json"
+    args = [str(trace_path) if arg == "TRACE" else arg for arg in command]
+    assert cli.main([*args, flag, str(out_path)]) == cli.EXIT_IO
+    assert calls == []
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"sepdist: {message} {str(out_path)!r}:")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_module_entry_point_runs_the_command():
+    src = str(Path(sepdist.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "sepdist.cli", "run", "--state", "no_such_state", "--halt-cs", "1"]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_ARGS
+    assert "unknown state name" in proc.stderr
 
 
 class TestRunHalt:

@@ -10,6 +10,7 @@ from sepdist import (
     RunState,
     SamplerConfig,
     StateSampler,
+    TraceRecord,
     ValidationError,
     bell,
     closure,
@@ -63,18 +64,21 @@ class TestHaltCriteria:
 
     def test_reached(self):
         state = RunState.initial(BELL)  # d2 = 0.75, no successes
-        assert not HaltCriteria(target_d2=0.5, max_successes=1).reached(state)
-        assert HaltCriteria(target_d2=0.75).reached(state)
-        assert HaltCriteria(max_successes=0).reached(state)
+        assert HaltCriteria(target_d2=0.5, max_successes=1).trials_left(state) == float("inf")
+        assert HaltCriteria(target_d2=0.75).trials_left(state) == 0
+        assert HaltCriteria(max_successes=0).trials_left(state) == 0
+        assert HaltCriteria(target_d2=0.75, max_trials=100).trials_left(state) == 0
 
     def test_trials_left(self):
         state = RunState.initial(BELL)
         state.trials = 40
-        assert HaltCriteria(max_successes=5).trials_left(state, last_success=0) == float("inf")
-        assert HaltCriteria(max_trials=100).trials_left(state, last_success=0) == 60
-        assert HaltCriteria(stall_trials=25).trials_left(state, last_success=30) == 15
-        assert HaltCriteria(max_trials=50, stall_trials=25).trials_left(state, last_success=30) == 10
-        assert HaltCriteria(stall_trials=5).trials_left(state, last_success=30) == -5
+        assert HaltCriteria(stall_trials=25).trials_left(state) == -15  # no acceptance: counted from trial 0
+        state.trace.append(TraceRecord(30, 1, 0.7))  # the last acceptance was trial 30
+        assert HaltCriteria(max_successes=5).trials_left(state) == float("inf")
+        assert HaltCriteria(max_trials=100).trials_left(state) == 60
+        assert HaltCriteria(stall_trials=25).trials_left(state) == 15
+        assert HaltCriteria(max_trials=50, stall_trials=25).trials_left(state) == 10
+        assert HaltCriteria(stall_trials=5).trials_left(state) == -5
 
 
 class TestPreselect:

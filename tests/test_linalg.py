@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,13 @@ from sepdist import (
     css_max_entangled,
     hs_inner,
     hsd_sq,
+    is_ppt,
     maximally_mixed,
     partial_transpose,
     pure_density,
+    upb_tiles_state,
 )
+from sepdist.linalg import PSD_TOL
 from conftest import random_density, random_hermitian, random_unitary, rng_for
 
 I2 = np.eye(2, dtype=complex)
@@ -110,24 +115,60 @@ class TestContractParty:
     def test_stack_matches_row_loop(self, dims, party):
         rng = rng_for(8)
         total = int(np.prod(dims))
-        mats = np.stack([random_hermitian(total, rng) for _ in range(4)])
+        mat = random_hermitian(total, rng)
         vecs = rng.standard_normal((4, dims[party])) + 1j * rng.standard_normal((4, dims[party]))
-        shared = contract_party(mats[0], party, vecs, dims)
-        stacked = contract_party(mats, party, vecs, dims)
+        shared = contract_party(mat, party, vecs, dims)
         rest = total // dims[party]
-        assert shared.shape == stacked.shape == (4, rest, rest)
+        assert shared.shape == (4, rest, rest)
         for r in range(4):
-            assert np.abs(shared[r] - contract_party(mats[0], party, vecs[r], dims)).max() <= 1e-13
-            assert np.abs(stacked[r] - contract_party(mats[r], party, vecs[r], dims)).max() <= 1e-13
+            assert np.abs(shared[r] - contract_party(mat, party, vecs[r], dims)).max() <= 1e-13
 
     @pytest.mark.parametrize(
         "mat_shape, vec_shape",
-        [((3, 6, 6), (2, 3)), ((3, 6, 5), (3, 3)), ((3, 6, 6), (3, 2)), ((6, 6), (3, 1))],
+        [((3, 6, 6), (3, 3)), ((6, 5), (3, 3)), ((6, 6), (3, 2)), ((6, 6), (3, 1))],
         ids=["batch-axes", "matrix", "vector", "column-vector"],
     )
     def test_bad_stack_shapes(self, mat_shape, vec_shape):
         with pytest.raises(DimensionError):
             contract_party(np.zeros(mat_shape, dtype=complex), 1, np.ones(vec_shape), (2, 3))
+
+
+def min_eig_over_every_bipartition(rho):
+    """Brute-force reference: the smallest partial-transpose eigenvalue over every nonempty proper subset."""
+    n = len(rho.dims)
+    tensor = rho.mat.reshape(rho.dims + rho.dims)
+    lowest = np.inf
+    for r in range(1, n):
+        for subset in itertools.combinations(range(n), r):
+            axes = list(range(2 * n))
+            for q in subset:
+                axes[q], axes[n + q] = n + q, q
+            lowest = min(lowest, np.linalg.eigvalsh(tensor.transpose(axes).reshape(rho.mat.shape))[0])
+    return lowest
+
+
+class TestIsPpt:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2)])
+    def test_matches_brute_force(self, dims):
+        rng = rng_for(21)
+        for noise in (0.0, 0.5):  # mixing in white noise moves states across the PPT boundary
+            rho = random_density(dims, rng)
+            total = rho.mat.shape[0]
+            rho = DensityMatrix(dims, (1 - noise) * rho.mat + noise * np.eye(total) / total)
+            lowest = min_eig_over_every_bipartition(rho)
+            assert is_ppt(rho) == (lowest >= -PSD_TOL)
+            # The threshold sits at the smallest eigenvalue of all bipartitions, not of the first one tried.
+            assert is_ppt(rho, tol=-lowest + 1e-9)
+            assert not is_ppt(rho, tol=-lowest - 1e-9)
+
+    @pytest.mark.parametrize(
+        "rho, ppt",
+        [(bell(), False), (css_max_entangled(2), True), (upb_tiles_state(), True)],
+        ids=["bell", "werner-boundary", "upb-tiles"],
+    )
+    def test_named_states(self, rho, ppt):
+        assert is_ppt(rho) is ppt
+        assert bool(min_eig_over_every_bipartition(rho) >= -PSD_TOL) is ppt
 
 
 class TestPartialTranspose:
