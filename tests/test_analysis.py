@@ -262,6 +262,14 @@ class TestMaxSepOverlap:
         with pytest.raises(ParameterError):
             max_sep_overlap(np.eye(4, dtype=complex), (2, 2), restarts=restarts)
 
+    @pytest.mark.parametrize("restarts", [2.0, 2.5, True, np.float64(3.0)])
+    def test_non_integral_restarts_rejected(self, restarts):
+        with pytest.raises(ParameterError, match="integral"):
+            max_sep_overlap(np.eye(4, dtype=complex), (2, 2), restarts=restarts)
+
+    def test_numpy_integer_restarts_accepted(self):
+        assert max_sep_overlap(np.eye(4, dtype=complex), (2, 2), restarts=np.int64(2))[0] == pytest.approx(1.0)
+
     def test_product_projector(self):
         op = np.zeros((4, 4), dtype=complex)
         op[1, 1] = 1.0  # |01><01|
@@ -306,15 +314,16 @@ class TestMaxSepOverlap:
 
 
 def with_row_counts(call):
-    """``call()`` with ``analysis.contract_party`` counting the vectors it pins per call: (result, counts)."""
+    """``call()`` counting the rows of each per-party contraction of the ascent: (result, counts)."""
     rows = []
+    sweep = analysis._sweep
 
-    def counting(mat, party, vec, cdims):
-        rows.append(int(np.prod(np.shape(vec)[:-1])))
-        return contract_party(mat, party, vec, cdims)
+    def counting(blocks, dims, vecs):
+        rows.extend([len(vecs[0])] * len(blocks))  # a sweep contracts every row once per party
+        return sweep(blocks, dims, vecs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "contract_party", counting)
+        mp.setattr(analysis, "_sweep", counting)
         return call(), rows
 
 
@@ -332,6 +341,11 @@ def product_overlap(op, vecs):
     return float(np.vdot(phi, op @ phi).real)
 
 
+def perturbed_ghz3_difference():
+    approx = 0.95 * css_ghz(3).mat + 0.05 * random_density((2, 2, 2), rng_for(0)).mat
+    return ghz(3).mat - approx
+
+
 class TestBatchedRestarts:
     """All restarts run as one batch and replay the same restarts run one call each."""
 
@@ -347,8 +361,7 @@ class TestBatchedRestarts:
         # ghz:3 against a perturbed CSS: two of these eight starts converge in
         # a few sweeps, the others run all MAX_SWEEPS sweeps.
         dims = (2, 2, 2)
-        approx = 0.95 * css_ghz(3).mat + 0.05 * random_density(dims, rng_for(0)).mat
-        op = ghz(3).mat - approx
+        op = perturbed_ghz3_difference()
         singles = replay_singly(op, dims, 8, seed=0)
         sweeps = [calls // 3 for _, calls in singles]  # one contraction per party and sweep
         assert min(sweeps) < 10 and max(sweeps) == MAX_SWEEPS
@@ -358,6 +371,17 @@ class TestBatchedRestarts:
         # A stopped start sweeps no more: the batch pins as many vectors as the single calls.
         assert len(rows) == 3 * MAX_SWEEPS
         assert sum(rows) == sum(calls for _, calls in singles)
+
+    def test_sweep_cap_keeps_the_last_sweep(self):
+        # A start that MAX_SWEEPS stops, not its gain, returns its last sweep's value and vectors.
+        op, rng = perturbed_ghz3_difference(), rng_for(0)
+        capped = 0
+        for _ in range(8):
+            (value, vecs), rows = with_row_counts(lambda: max_sep_overlap(op, (2, 2, 2), 1, rng))
+            if len(rows) == 3 * MAX_SWEEPS:
+                capped += 1
+                assert abs(product_overlap(op, vecs) - value) <= 1e-12
+        assert capped
 
 
 def nested_pinning(op, dims, vecs, p):
@@ -374,18 +398,31 @@ def nested_pinning(op, dims, vecs, p):
 
 
 class TestOneCallPinning:
-    """The ascent pins all other parties in one call on a permuted copy of the operator."""
+    """The ascent pins all other parties in one product with a block of the operator prepared once."""
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
     def test_matches_nested_pinning(self, dims):
         rng = rng_for(5)
         op = random_hermitian(int(np.prod(dims)), rng)
-        vecs = [rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d)) for d in dims]
-        vecs = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in vecs]
-        for p, moved in enumerate(analysis._party_last(op, dims)):
-            one_call = analysis._pin_others(moved, vecs, p)
+        start = [rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d)) for d in dims]
+        start = [v / np.linalg.norm(v, axis=1, keepdims=True) for v in start]
+        pinned = []
+        eigh = np.linalg.eigh
+
+        def recording(a):
+            pinned.append(a)
+            return eigh(a)
+
+        vecs = list(start)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np.linalg, "eigh", recording)
+            analysis._sweep(analysis._party_blocks(op, dims), dims, vecs)
+        assert len(pinned) == len(dims)
+        for p, one_call in enumerate(pinned):
+            # Gauss-Seidel: party p sees the new vectors of the parties before it.
+            seen = vecs[:p] + start[p:]
             assert one_call.shape == (4, dims[p], dims[p])
-            assert np.abs(one_call - nested_pinning(op, dims, vecs, p)).max() <= 1e-13
+            assert np.abs(one_call - nested_pinning(op, dims, seen, p)).max() <= 1e-13
 
     @pytest.mark.parametrize(
         "iterate, target, expected",
@@ -399,6 +436,39 @@ class TestOneCallPinning:
         op = target.mat - fileio.read_state(RECORDED_INPUTS / iterate).to_density().mat
         value, _ = max_sep_overlap(op, target.dims, 16, np.random.default_rng(0))
         assert abs(value - expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "iterate, target, expected, vectors",
+        [
+            (
+                "ghz3_iterate.json",
+                ghz(3),
+                "0x1.f4141aae9be95p-4",
+                [
+                    [-0.999955341777067 + 0j, -0.002043651990234003 - 0.009227022166010033j],
+                    [-0.9999822266554222 + 0j, -0.005961965814004832 - 3.656359631922919e-05j],
+                    [-0.9998838099423879 + 0j, 0.01518685773200646 + 0.001313760755427614j],
+                ],
+            ),
+            (
+                "upb_iterate.json",
+                upb_tiles_state(),
+                "0x1.ba33d9aa413cdp-6",
+                [
+                    [-0.2228980465889337 + 0j, 0.9383235776389358 - 0.06622029810357878j, -0.25444072505588544 + 0.02720503677289031j],
+                    [0.025837315247338746 + 0j, -0.9902488924558891 - 0.133081034783292j, 0.030018580117323945 + 0.011308720504220576j],
+                ],
+            ),
+        ],
+        ids=["ghz3", "upb"],
+    )
+    def test_recorded_iterates_exact_to_the_bit(self, iterate, target, expected, vectors):
+        # Any change to the ascent's arithmetic or its order fails here.
+        op = target.mat - fileio.read_state(RECORDED_INPUTS / iterate).to_density().mat
+        value, vecs = max_sep_overlap(op, target.dims, 16, np.random.default_rng(0))
+        assert value.hex() == expected
+        assert len(vecs) == len(vectors)
+        assert all(np.array_equal(v, np.array(w)) for v, w in zip(vecs, vectors))
 
 
 class TestWitness:
@@ -434,6 +504,11 @@ class TestWitness:
         assert np.array_equal(w.operator, w.operator.conj().T)
         assert w.sep_bound == pytest.approx(0.05, abs=1e-9)
         assert w.target_value == pytest.approx(0.01, abs=1e-9)
+
+    @pytest.mark.parametrize("restarts", [2.0, 2.5, True])
+    def test_non_integral_restarts_rejected(self, restarts):
+        with pytest.raises(ParameterError, match="integral"):
+            build_witness(bell(), css_max_entangled(2), restarts=restarts)
 
     def test_witness_operator_structure(self):
         w = build_witness(bell(), css_max_entangled(2), restarts=16, rng=rng_for(3))
