@@ -2,9 +2,9 @@
 
 The distance limit is estimated by maximizing the sample correlation
 between the success index and |ln(d2 - a)|^b over the free parameters
-(a, b): a coarse grid, then a zoom of shrinking windows in the log-gap
-``ln(min d2 - a)`` and b.  The located ``a`` approximates the asymptotic
-squared distance.
+(a, b): one zoom search in the log-gap ``ln(min d2 - a)`` and b, whose
+first window spans the whole search box.  The located ``a`` approximates
+the asymptotic squared distance.
 A separate log-log fit captures the success-vs-trial scaling, and the
 final iterate can be turned into an entanglement witness by bounding the
 operator's overlap with product states from below via alternating
@@ -27,10 +27,7 @@ from .linalg import DensityMatrix, as_matrix, contract_party, hermitize, hs_inne
 
 DEFAULT_STRIDE = 100
 DEFAULT_RESTARTS = 64
-# Coarse grid of the extrapolation fit: points in a (log-spaced gap) and in b.
-A_POINTS = 200
-B_POINTS = 96
-# Refinement of the extrapolation fit: a window of ZOOM_POINTS x ZOOM_POINTS
+# Zoom of the extrapolation fit: a window of ZOOM_POINTS x ZOOM_POINTS
 # points in (b, ln gap), scored at once.
 ZOOM_POINTS = 9
 # Alternating ascent of max_sep_overlap: stop a restart once a sweep gains
@@ -109,20 +106,19 @@ def fit_extrapolation(
 
     Subsamples the trace at every ``stride``-th success, then maximizes the
     correlation between the success index and |ln(d2 - a)|^b over a in
-    [0, min d2) and b in ``b_range``.  A coarse ``A_POINTS`` x ``B_POINTS``
-    grid, log-spaced in the gap ``min d2 - a`` and linear in b, picks the
-    start of a zoom in ``u = ln(min d2 - a)`` and b.  Each zoom level scores
-    a ``ZOOM_POINTS`` x ``ZOOM_POINTS`` window around the best point in one
-    array operation and moves to the window's best point only if that
+    [0, min d2) and b in ``b_range`` by one zoom search in
+    ``u = ln(min d2 - a)`` and b.  u ranges over ``[ln min d2 + ln 1e-12,
+    ln min d2]`` and ``a = max(min d2 - e^u, 0)``, so ``0 <= a < min d2``.
+    The first ``ZOOM_POINTS`` x ``ZOOM_POINTS`` window is centred on that
+    box and spans it.  Each level scores a window around the best point in
+    one array operation and moves to the window's best point only if that
     strictly raises r.  A move to the window's edge keeps the steps;
     otherwise they halve, until they are below 1e-9 in u and 1e-7 in b.
-    u stays in ``[ln(min d2 * 1e-12), ln min d2]`` and ``a = max(min d2 -
-    e^u, 0)``, so ``0 <= a < min d2``.
 
     ``b_range`` must satisfy ``0 < b_min <= b_max < inf``; equal bounds fix
     the exponent and only ``a`` is searched.  Raises
-    :class:`DegenerateError` when no grid point gives a finite correlation
-    (every transformed trace is constant or overflows).
+    :class:`DegenerateError` when no point the search scored gives a finite
+    correlation (every transformed trace is constant or overflows).
     """
     b_lo, b_hi = (float(v) for v in b_range)
     if not 0.0 < b_lo <= b_hi < inf:
@@ -140,36 +136,21 @@ def fit_extrapolation(
     n = g.size
     xc, xn = _centred(x)  # x is fixed: centred and normed once
 
-    # Coarse grid: log-spaced in the gap (min d2 - a) so both a ~ 0 and
-    # a ~ min d2 are covered, times a linear grid in b.
-    gaps = np.geomspace(dmin * 1e-9, dmin, A_POINTS)
-    a_grid = dmin - gaps
-    a_grid[-1] = 0.0
-    ln_abs = np.abs(np.log(g[None, :] - a_grid[:, None]))
-    best = (-np.inf, 0.0, b_lo)
-    for b in np.linspace(b_lo, b_hi, B_POINTS):
-        with np.errstate(over="ignore"):
-            r = _corr_with(xc, xn, ln_abs**b)
-        i = int(np.argmax(r))
-        if r[i] > best[0]:
-            best = (float(r[i]), float(a_grid[i]), float(b))
-
-    r_best, a_best, b_best = best
-    if not isfinite(r_best):
-        raise DegenerateError("no (a, b) gives a finite correlation; the fit is undefined")
-
-    # Zoom in u = ln(min d2 - a), where the ridge of r is far wider than in a.
-    u_lo, u_hi = log(dmin * 1e-12), log(dmin)
-    u_best = log(dmin - a_best)
+    # Zoom in u = ln(min d2 - a), where the ridge of r is far wider than in a,
+    # from the centre of the box.  A sum of logs: dmin * 1e-12 can underflow.
+    u_lo, u_hi = log(dmin) + log(1e-12), log(dmin)
+    r_best, u_best, a_best, b_best = -np.inf, 0.5 * (u_lo + u_hi), 0.0, 0.5 * (b_lo + b_hi)
     half = ZOOM_POINTS // 2
     offsets = np.arange(ZOOM_POINTS) - half
-    step_u = 2.0 * log(gaps[1] / gaps[0])
-    step_b = (b_hi - b_lo) / B_POINTS
+    step_u = (u_hi - u_lo) / (ZOOM_POINTS - 1)
+    step_b = (b_hi - b_lo) / (ZOOM_POINTS - 1)
     while step_u > 1e-9 or step_b > 1e-7:
         u = np.clip(u_best + step_u * offsets, u_lo, u_hi)
         a = np.maximum(dmin - np.exp(u), 0.0)
         b = np.clip(b_best + step_b * offsets, b_lo, b_hi)
-        ln_abs = np.abs(np.log(g - a[:, None]))
+        # Where e^u underflows, g - a is 0 at the last point.
+        with np.errstate(divide="ignore"):
+            ln_abs = np.abs(np.log(g - a[:, None]))
         with np.errstate(over="ignore"):
             r = _corr_with(xc, xn, (ln_abs ** b[:, None, None]).reshape(-1, n))
         i = int(np.argmax(r))
@@ -182,6 +163,8 @@ def fit_extrapolation(
                 continue
         step_u /= 2.0
         step_b /= 2.0
+    if not isfinite(r_best):
+        raise DegenerateError("no (a, b) gives a finite correlation; the fit is undefined")
     return ExtrapolationFit(a=a_best, b=b_best, r=r_best, stride=stride)
 
 

@@ -34,7 +34,7 @@ EXIT_VALIDATION = 4
 
 EXIT_HELP = (
     "exit codes: 0 success; 2 a raw argument value is malformed or out of range "
-    "(halt criteria, --seed, --dims, --sym syntax, unknown state name); "
+    "(halt criteria, --seed, --dims, --sym syntax, --sym-cap, unknown state name); "
     "3 a file cannot be read or written or does not parse; "
     "4 the library rejects an input (invalid state, mismatched dimensions, a group that "
     "moves the target, an unusable trace, --stride, --b-min/--b-max, --restarts)"
@@ -135,6 +135,8 @@ def _check_writable(path, step: str) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.sym_cap < 1:  # also without --sym: meta.json records it
+        raise CliError(EXIT_ARGS, f"--sym-cap must be >= 1, got {args.sym_cap}")
     target = _load_density(args.state)
     if args.dims is not None and _parse_dims(args.dims) != target.dims:
         raise CliError(EXIT_VALIDATION, f"--dims {args.dims} does not match state dims {target.dims}")

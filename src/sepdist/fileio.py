@@ -4,10 +4,11 @@ A state file is a single JSON document::
 
     {"dims": [2, 2], "kind": "density", "matrix": [[[re, im], ...], ...]}
 
-with optional ``name`` and ``metadata`` fields.  ``kind: "density"``
-enforces the full density-matrix checks on load; ``kind: "operator"``
-holds any square matrix of the stated size (witness operators, and the
-per-party unitaries of ``sepdist run --sym local:``).  Trace files are
+with optional ``name`` and ``metadata`` fields.  ``dims`` must be an
+array of positive integers.  ``kind: "density"`` enforces the full
+density-matrix checks on load; ``kind: "operator"`` holds any square
+matrix of the stated size (witness operators, and the per-party
+unitaries of ``sepdist run --sym local:``).  Trace files are
 CSV with the exact header ``c_t,c_s,d2``; a ``d2`` that is not finite
 (``inf``, ``nan``) is a format error.  Floats are rendered with their
 shortest round-trip representation, so write -> read -> write is
@@ -93,11 +94,15 @@ def loads_state(text: str) -> StateFile:
     if not isinstance(doc, dict):
         raise FileFormatError("state file must be a JSON object")
     try:
-        dims = tuple(int(d) for d in doc["dims"])
+        dims = doc["dims"]
         kind = doc["kind"]
         rows = doc["matrix"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"missing or malformed state-file field: {exc}") from exc
+    except KeyError as exc:
+        raise FileFormatError(f"missing state-file field: {exc}") from exc
+    # Taken as written: no float, string, bool or object is read as a dimension.
+    if not (isinstance(dims, list) and all(type(d) is int and d >= 1 for d in dims)):
+        raise FileFormatError(f"dims must be a JSON array of positive integers, got {dims!r}")
+    dims = tuple(dims)
     if kind not in (KIND_DENSITY, KIND_OPERATOR):
         raise FileFormatError(f"unknown state-file kind {kind!r}")
     total = prod(dims)

@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ValidationError
+from .errors import CapacityError, DimensionError, ParameterError, ValidationError
 from .linalg import DensityMatrix, as_matrix, hermitize, hsd_sq
 
 UNITARY_TOL = 1e-10
@@ -124,8 +124,11 @@ def closure(generators, dims, cap: int = 1024) -> SymmetryGroup:
     same permutation factor by factor, each factor up to its own phase, is
     dropped, so every element (repeated generators included) appears once
     up to a global phase, which the twirl channel ignores.  Raises
-    :class:`CapacityError` if the closure grows beyond ``cap`` elements.
+    :class:`CapacityError` if the closure grows beyond ``cap`` elements, and
+    :class:`ParameterError` if ``cap`` is below 1 (no group fits).
     """
+    if cap < 1:
+        raise ParameterError(f"cap must be >= 1, got {cap}")
     dims = tuple(int(d) for d in dims)
     gens = []
     for i, g in enumerate(generators):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from sepdist import DensityMatrix, TraceRecord, hermitize, pure_density
+from sepdist import DensityMatrix, TraceRecord, bell, fileio, hermitize, pure_density
+from sepdist.fileio import KIND_DENSITY
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -44,6 +47,21 @@ def exact_decay_trace(a, b, n=2000, gap_start=0.3, gap_end=None, trial_step=7):
         y = y0 + (y1 - y0) * (k - 1) / (n - 1)
         records.append(TraceRecord(trial_step * k, k, a + np.exp(-(y ** (1.0 / b)))))
     return records
+
+
+def subnormal_trace():
+    """40 points falling geometrically from 0.5 to the smallest subnormal, 5e-324."""
+    d2 = np.geomspace(0.5, 1e-320, 40)
+    d2[-1] = 5e-324
+    return [TraceRecord(7 * k, k, float(v)) for k, v in enumerate(d2, start=1)]
+
+
+def with_dims(dims, mat=None, kind=KIND_DENSITY):
+    """State-file text of ``mat`` (default: bell) whose ``dims`` field is ``dims`` as written."""
+    mat = bell().mat if mat is None else mat
+    doc = json.loads(fileio.dumps_state(mat, (mat.shape[0],), kind=kind))
+    doc["dims"] = dims
+    return json.dumps(doc)
 
 
 @pytest.fixture

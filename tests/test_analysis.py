@@ -1,3 +1,4 @@
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +21,15 @@ from sepdist import (
     fit_extrapolation,
     fit_power,
     ghz,
+    gilbert,
     max_sep_overlap,
+    named_state,
+    states,
     upb_tiles_state,
 )
 from sepdist import analysis
 from sepdist.analysis import MAX_SWEEPS
-from conftest import exact_decay_trace, random_density, random_hermitian, rng_for
+from conftest import exact_decay_trace, random_density, random_hermitian, rng_for, subnormal_trace
 
 
 RECORDED_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
@@ -38,6 +42,33 @@ def slow_decay_trace():
 
 def recorded_trace(name):
     return lambda: fileio.read_trace(RECORDED_INPUTS / name)
+
+
+@cache
+def fresh_trace(name, seed, successes):
+    """Trace of a seeded ``gilbert.run`` on a named state, made once per session."""
+    halt = gilbert.HaltCriteria(max_successes=successes)
+    return gilbert.run(named_state(name), halt, config=states.SamplerConfig(seed=seed)).trace
+
+
+def grid_r(trace, stride, b_range):
+    """Best r of the 200 x 96 grid, log-spaced in min d2 - a and linear in b, that the zoom search replaced.
+
+    The grid once picked where the zoom started; here it is the reference the search must reach.
+    """
+    picked = [rec for rec in trace if rec.successes % stride == 0]
+    x = np.array([rec.successes for rec in picked], dtype=float)
+    g = np.array([rec.d2 for rec in picked])
+    dmin = g[-1]
+    a = dmin - np.geomspace(dmin * 1e-9, dmin, 200)
+    a[-1] = 0.0
+    ln_abs = np.abs(np.log(g - a[:, None]))
+    xc, xn = analysis._centred(x)
+    best = -np.inf
+    for b in np.unique(np.linspace(*b_range, 96)):  # one pass when the bounds are equal
+        with np.errstate(over="ignore"):
+            best = max(best, analysis._corr_with(xc, xn, ln_abs**b).max())
+    return best
 
 
 class TestCorrelation:
@@ -119,26 +150,82 @@ class TestFitExtrapolation:
             fit_extrapolation(trace, stride=1)
 
     @pytest.mark.parametrize(
-        "make_trace, expected",
+        "make_trace, expected, a_tol",
         [
             (
                 lambda: exact_decay_trace(0.002, 8.0, n=400),
-                (0.001999999997400458, 8.000000445048014, 1.0),
+                (0.0019999999562968335, 8.000005988869816, 0.9999999999999977),
+                1e-10,
             ),
             (
                 slow_decay_trace,
-                (0.001999815909291297, 8.000001509984333, 1.0),
+                (0.0019999000014972457, 8.00000075995922, 1.0),
+                2e-4,
             ),
         ],
         ids=["exact-decay", "slow-decay"],
     )
-    def test_pinned_results(self, make_trace, expected):
-        # exact values of the grid + log-gap zoom path; any change to its
-        # arithmetic, window, move rule or stopping rule shows up here; these
-        # traces fit the model exactly, so rounding would push r above 1 unclamped
+    def test_pinned_results(self, make_trace, expected, a_tol):
+        # exact values of the zoom search from the window over the whole box;
+        # any change to its arithmetic, first window, move rule or stopping
+        # rule shows up here; these traces fit the model exactly, so rounding
+        # would push r above 1 unclamped
         fit = fit_extrapolation(make_trace(), stride=1)
         assert (fit.a, fit.b, fit.r) == expected
         assert fit.r <= 1.0
+        assert abs(fit.a - 0.002) <= a_tol
+
+    @pytest.mark.parametrize(
+        "name, stride, r_grid",
+        [
+            ("bell_trace.csv", 1, 0.9999337583535884),
+            ("bell_trace.csv", 37, 0.9999344769332535),
+            ("bell_trace.csv", 100, 0.9999417933009834),
+            ("ghz3_trace.csv", 1, 0.9997988796260873),
+            ("ghz3_trace.csv", 37, 0.9998343086796069),
+            ("ghz3_trace.csv", 100, 0.9998090917213448),
+        ],
+        ids=["bell-1", "bell-37", "bell-100", "ghz3-1", "ghz3-37", "ghz3-100"],
+    )
+    def test_recorded_r_matches_the_grid_and_zoom(self, name, stride, r_grid):
+        # r of the grid-started zoom that the one search replaced
+        fit = fit_extrapolation(fileio.read_trace(RECORDED_INPUTS / name), stride=stride)
+        assert abs(fit.r - r_grid) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make_trace, strides",
+        [
+            (recorded_trace("bell_trace.csv"), (10, 37, 100)),
+            (recorded_trace("ghz3_trace.csv"), (10, 37, 100)),
+            (lambda: exact_decay_trace(0.002, 8.0, n=400), (1, 10, 37, 100)),
+            (slow_decay_trace, (1, 10, 37, 100)),
+            (lambda: fresh_trace("bell", 1, 1500), (10, 37, 100)),
+            (lambda: fresh_trace("bell", 2, 1500), (10, 37, 100)),
+            (lambda: fresh_trace("ghz:3", 1, 800), (10, 37, 100)),
+            (lambda: fresh_trace("max_entangled:3", 1, 800), (10, 37, 100)),
+            (lambda: fresh_trace("upb_tiles", 1, 800), (10, 37, 100)),
+        ],
+        ids=["bell-recorded", "ghz3-recorded", "exact-decay", "slow-decay",
+             "bell-1", "bell-2", "ghz3-1", "max-entangled3-1", "upb-tiles-1"],
+    )
+    def test_never_beaten_by_the_replaced_grid(self, make_trace, strides):
+        trace = make_trace()
+        for stride in strides:
+            for b_range in [(1.0, 20.0), (2.0, 8.0), (5.0, 5.0)]:
+                if sum(rec.successes % stride == 0 for rec in trace) < 10:  # 800 successes at stride 100
+                    with pytest.raises(ParameterError):
+                        fit_extrapolation(trace, stride=stride, b_range=b_range)
+                    continue
+                fit = fit_extrapolation(trace, stride=stride, b_range=b_range)
+                assert fit.r >= grid_r(trace, stride, b_range) - 1e-12, (stride, b_range)
+                assert 0.0 <= fit.a < trace[-1].d2
+
+    def test_subnormal_minimum_distance(self):
+        # np.geomspace(min d2 * 1e-9, ...) of the replaced grid reached 0 here and raised
+        trace = subnormal_trace()
+        fit = fit_extrapolation(trace, stride=1)
+        assert all(map(np.isfinite, (fit.a, fit.b, fit.r)))
+        assert 0.0 <= fit.a < trace[-1].d2
 
     @pytest.mark.parametrize(
         "make_trace, stride, a_old, r_old, a_tol",
@@ -149,7 +236,7 @@ class TestFitExtrapolation:
             (recorded_trace("ghz3_trace.csv"), 37, 0.46502538599314, 0.9998343086747276, 1e-6),
             (lambda: exact_decay_trace(0.002, 8.0, n=400), 1, 0.0020000015033731196, 0.9999999999972414, 1e-6),
             # The descent stalled on this ridge 4.0e-6 above the limit 0.002;
-            # the zoom ends 1.8e-7 below it.
+            # the zoom ends 1.0e-7 below it.
             (slow_decay_trace, 1, 0.002003972012244417, 0.9999999999999728, 5e-6),
         ],
         ids=["bell-100", "bell-37", "ghz3-100", "ghz3-37", "exact-decay", "slow-decay"],

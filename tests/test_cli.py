@@ -9,7 +9,7 @@ import pytest
 
 import sepdist
 from sepdist import analysis, cli, fileio, fit_extrapolation, gilbert, named_state, states
-from conftest import exact_decay_trace
+from conftest import exact_decay_trace, subnormal_trace, with_dims
 
 
 @pytest.fixture
@@ -241,6 +241,15 @@ class TestFit:
         assert out == ""
         assert "nondecreasing" in err
 
+    def test_subnormal_minimum_distance_fits(self, tmp_path):
+        # the replaced grid's np.geomspace reached 0 here: a ValueError traceback, exit 1
+        path, out = tmp_path / "subnormal.csv", tmp_path / "fit.json"
+        fileio.write_trace(path, subnormal_trace())
+        assert cli.main(["fit", str(path), "--stride", "1", "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        assert all(np.isfinite([report["a"], report["b"], report["r"]]))
+        assert 0.0 <= report["a"] < 5e-324
+
     def test_missing_trace_is_an_io_error(self, tmp_path):
         assert cli.main(["fit", str(tmp_path / "absent.csv")]) == cli.EXIT_IO
 
@@ -397,6 +406,30 @@ class TestStateFiles:
         assert cli.main(["run", "--state", str(path), "--halt-ct", "10"]) == cli.EXIT_VALIDATION
         assert "not a density matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dims",
+        [[2.7, 2.2], ["2", "2"], "22", {"2": None, "02": None}, [True, 4]],
+        ids=["floats", "strings", "string", "object", "bool"],
+    )
+    def test_dims_that_are_not_positive_integers_are_an_io_error(self, tmp_path, capsys, dims):
+        path = tmp_path / "state.json"
+        path.write_text(with_dims(dims))
+        assert cli.main(["witness", "--state", str(path), "--css", "max_entangled_css:2"]) == cli.EXIT_IO
+        assert "dims must be a JSON array of positive integers" in capsys.readouterr().err
+
+    def test_negative_dims_of_a_local_factor_are_an_io_error(self, tmp_path, capsys):
+        # [-2, -1] multiplies to 2, so this flip was read as a 2 x 2 factor and the run exited 0
+        flip = tmp_path / "x.json"
+        flip.write_text(with_dims([-2, -1], np.array([[0, 1], [1, 0]]), kind=fileio.KIND_OPERATOR))
+        assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", f"local:{flip},{flip}"]) == cli.EXIT_IO
+        assert "cannot read matrix file" in capsys.readouterr().err
+
+    def test_unit_dimension_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(with_dims([1, 4]))
+        assert cli.main(["witness", "--state", str(path), "--css", "max_entangled_css:2"]) == cli.EXIT_VALIDATION
+        assert "must all be >= 2" in capsys.readouterr().err
+
     def test_missing_local_matrix_file_is_an_io_error(self, tmp_path, capsys):
         unitary = tmp_path / "x.json"
         fileio.write_state(unitary, np.array([[0, 1], [1, 0]]), (2,), kind=fileio.KIND_OPERATOR)
@@ -426,6 +459,15 @@ class TestErrorMapping:
         args = ["run", "--state", "bell", "--sym", "perm:1,0", "--sym-cap", "1", "--halt-cs", "1"]
         assert cli.main(args) == cli.EXIT_VALIDATION
         assert "cannot build symmetry group" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sym", [["--sym", "perm:1,0"], []], ids=["with-sym", "without-sym"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_group_cap_below_one_is_an_argument_error(self, tmp_path, capsys, sym, cap):
+        meta = tmp_path / "meta.json"
+        args = ["run", "--state", "bell", *sym, "--sym-cap", cap, "--halt-cs", "1", "--meta", str(meta)]
+        assert cli.main(args) == cli.EXIT_ARGS
+        assert f"--sym-cap must be >= 1, got {cap}" in capsys.readouterr().err
+        assert not meta.exists()
 
     def test_state_path_that_is_a_directory_is_an_io_error(self, tmp_path, capsys):
         assert cli.main(["run", "--state", str(tmp_path), "--halt-cs", "1"]) == cli.EXIT_IO

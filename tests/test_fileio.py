@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from sepdist import FileFormatError, TraceRecord, ValidationError, bell, css_max_entangled, fileio
-from conftest import exact_decay_trace, random_density, rng_for
+from sepdist import DimensionError, FileFormatError, TraceRecord, ValidationError, bell, css_max_entangled, fileio
+from conftest import exact_decay_trace, random_density, rng_for, with_dims
 
 
 def test_trace_csv_round_trip_is_byte_identical(tmp_path):
@@ -45,3 +45,26 @@ def test_invalid_density_payload_is_rejected_on_load():
     text = fileio.dumps_state(np.diag([0.7, 0.5, -0.1, -0.1]), (2, 2))
     with pytest.raises(ValidationError, match="not positive semidefinite"):
         fileio.loads_state(text)
+
+
+@pytest.mark.parametrize(
+    "dims, kind",
+    [
+        ([2.7, 2.2], fileio.KIND_DENSITY),
+        (["2", "2"], fileio.KIND_DENSITY),
+        ("22", fileio.KIND_DENSITY),
+        ({"2": None, "02": None}, fileio.KIND_DENSITY),
+        ([True, 4], fileio.KIND_DENSITY),
+        ([-2, -2], fileio.KIND_OPERATOR),
+    ],
+    ids=["floats", "strings", "string", "object", "bool", "negative-operator"],
+)
+def test_dims_that_are_not_positive_integers_are_a_format_error(dims, kind):
+    # each read as a valid (2, 2), (1, 4) or (-2, -2) before
+    with pytest.raises(FileFormatError, match="dims must be a JSON array of positive integers"):
+        fileio.loads_state(with_dims(dims, kind=kind))
+
+
+def test_unit_dimension_reaches_the_density_check():
+    with pytest.raises(DimensionError, match="must all be >= 2"):
+        fileio.loads_state(with_dims([1, 4]))

@@ -8,6 +8,7 @@ from sepdist import (
     CapacityError,
     DensityMatrix,
     DimensionError,
+    ParameterError,
     PermutedLocal,
     StateSampler,
     SamplerConfig,
@@ -87,6 +88,11 @@ class TestClosure:
     def test_cap_exceeded(self):
         with pytest.raises(CapacityError):
             closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2), cap=2)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ParameterError, match="cap must be >= 1"):
+            closure([local_unitary([SX, SX])], (2, 2), cap=cap)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
