@@ -8,7 +8,7 @@ symmetrization over finite groups, and turn the final approximation into
 an entanglement witness.
 """
 
-# Set before the submodules load: fileio records it in run metadata.
+# cli records it in run metadata (meta.json's versions).
 __version__ = "0.1.0"
 
 from .analysis import (

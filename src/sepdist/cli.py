@@ -12,18 +12,26 @@ format, 4 for anything the library rejects (``--stride``,
 ``--b-min``/``--b-max`` and ``--restarts`` included).  ``sepdist --help``
 prints the rule in full (``EXIT_HELP``); :func:`_failures` is the one place
 that maps library errors to these codes.
+
+``run --meta``, ``fit`` and ``witness`` build their JSON documents in the
+command; ``fileio`` holds only the formats it reads back.  ``meta.json``
+records the replay fields ``state`` (the argument as given: a name or a
+path), ``dims``, ``seed``, ``mode``, ``init``, ``sym``, ``sym_cap``,
+``halt`` (by ``HaltCriteria`` field name) and ``versions``, and the outcome
+``final_d2``, ``c_t``, ``c_s`` and ``wall_seconds``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from contextlib import contextmanager
 
 import numpy as np
 
-from . import analysis, fileio, gilbert, states, symmetry
+from . import __version__, analysis, fileio, gilbert, states, symmetry
 from .errors import FileFormatError, ParameterError, SepdistError
 from .linalg import DensityMatrix
 
@@ -117,6 +125,10 @@ def _write_or_print(text: str, path) -> None:
         fp.write(text)
 
 
+def _write_json(doc: dict, path) -> None:
+    _write_or_print(json.dumps(doc, indent=2) + "\n", path)
+
+
 def _check_writable(path, step: str) -> None:
     """Fail with ``step``'s message unless ``path`` can be written; create and remove nothing.
 
@@ -164,26 +176,31 @@ def cmd_run(args) -> int:
     with _failures("cannot run"):
         result = gilbert.run(target, halt, init=init, group=group, config=config)
 
+    final = result.state
     if args.trace is not None:
         with _failures(f"cannot write trace {args.trace!r}"):
             fileio.write_trace(args.trace, result.trace)
     if args.meta is not None:
-        meta = fileio.run_metadata(
-            args.state,
-            target.dims,
-            args.seed,
-            halt.as_dict(),
-            result.state.d2,
-            result.state.trials,
-            result.state.successes,
-            result.wall_seconds,
-            mode=config.mode,
-            init=args.init,
-            sym=args.sym,
-            sym_cap=args.sym_cap,
-        )
-        _write_or_print(fileio.dumps_json(meta), args.meta)
-    final = result.state
+        # versions: a seeded trajectory
+        # replays bit for bit only on the same numpy kernels, since its bits depend on
+        # how they round (numpy's complex multiply, for one, may round a squared modulus
+        # re*re + im*im as the fused multiply-add fma(re, re, im*im)).
+        meta = {
+            "state": args.state,
+            "dims": list(target.dims),
+            "seed": args.seed,
+            "mode": config.mode,
+            "init": args.init,
+            "sym": args.sym,
+            "sym_cap": args.sym_cap,
+            "halt": halt.as_dict(),
+            "final_d2": final.d2,
+            "c_t": final.trials,
+            "c_s": final.successes,
+            "wall_seconds": result.wall_seconds,
+            "versions": {"sepdist": __version__, "numpy": np.__version__},
+        }
+        _write_json(meta, args.meta)
     print(f"halted: c_t={final.trials} c_s={final.successes} d2={final.d2!r}")
     return EXIT_OK
 
@@ -194,7 +211,8 @@ def cmd_fit(args) -> int:
     with _failures("cannot fit trace"):
         ext = analysis.fit_extrapolation(trace, stride=args.stride, b_range=(args.b_min, args.b_max))
         power = analysis.fit_power(trace)
-    _write_or_print(fileio.dumps_json(fileio.fit_report(ext, power)), args.out)
+    report = {"a": ext.a, "b": ext.b, "r": ext.r, "stride": ext.stride, "f": power.f, "r2": power.r2}
+    _write_json(report, args.out)
     return EXIT_OK
 
 
@@ -209,7 +227,13 @@ def cmd_witness(args) -> int:
     if args.operator is not None:  # before the report: a failed write emits no report
         with _failures(f"cannot write operator {args.operator!r}"):
             fileio.write_state(args.operator, witness.operator, witness.dims, kind=fileio.KIND_OPERATOR)
-    _write_or_print(fileio.dumps_json(fileio.witness_report(witness)), args.report)
+    report = {
+        "lambda": witness.sep_bound,
+        "value_rho0": witness.target_value,
+        "entangled": witness.entangled,
+        "margin": witness.margin,
+    }
+    _write_json(report, args.report)
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
-"""File formats: JSON state files, trace CSVs, report JSON.
+"""File formats: JSON state files and trace CSVs.
 
 A state file is a single JSON document::
 
     {"dims": [2, 2], "kind": "density", "matrix": [[[re, im], ...], ...]}
 
-with optional ``name`` and ``metadata`` fields.  ``dims`` must be an
-array of positive integers.  ``kind: "density"`` enforces the full
+with optional ``name`` and ``metadata`` fields.  ``dims`` must be a
+non-empty array of positive integers, and each matrix entry a ``[re, im]``
+pair of JSON numbers.  ``kind: "density"`` enforces the full
 density-matrix checks on load; ``kind: "operator"`` holds any square
 matrix of the stated size (witness operators, and the per-party
 unitaries of ``sepdist run --sym local:``).  Trace files are
@@ -24,8 +25,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import __version__
-from .analysis import ExtrapolationFit, PowerFit, Witness
 from .errors import FileFormatError, ValidationError
 from .gilbert import TraceRecord
 from .linalg import DensityMatrix
@@ -86,11 +85,18 @@ def write_density(path, rho: DensityMatrix, name=None, metadata=None) -> None:
     write_state(path, rho.mat, rho.dims, kind=KIND_DENSITY, name=name, metadata=metadata)
 
 
+def _entry(pair) -> complex:
+    # Taken as written: no object, bool or third number is read as an entry.
+    if not (type(pair) is list and len(pair) == 2 and all(type(x) in (int, float) for x in pair)):
+        raise ValueError(f"entry {pair!r} is not a [re, im] pair of numbers")
+    return complex(pair[0], pair[1])
+
+
 def loads_state(text: str) -> StateFile:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also an integer of too many digits, or nesting too deep
+        raise FileFormatError(f"cannot parse JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FileFormatError("state file must be a JSON object")
     try:
@@ -100,15 +106,15 @@ def loads_state(text: str) -> StateFile:
     except KeyError as exc:
         raise FileFormatError(f"missing state-file field: {exc}") from exc
     # Taken as written: no float, string, bool or object is read as a dimension.
-    if not (isinstance(dims, list) and all(type(d) is int and d >= 1 for d in dims)):
+    if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 1 for d in dims)):
         raise FileFormatError(f"dims must be a JSON array of positive integers, got {dims!r}")
     dims = tuple(dims)
     if kind not in (KIND_DENSITY, KIND_OPERATOR):
         raise FileFormatError(f"unknown state-file kind {kind!r}")
     total = prod(dims)
     try:
-        mat = np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
-    except (TypeError, ValueError, IndexError) as exc:
+        mat = np.array([[_entry(entry) for entry in row] for row in rows])
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
         raise FileFormatError(f"malformed matrix payload: {exc}") from exc
     if mat.shape != (total, total):
         raise FileFormatError(f"matrix shape {mat.shape} does not match dims {dims}")
@@ -160,70 +166,3 @@ def loads_trace(text: str) -> list[TraceRecord]:
 def read_trace(path) -> list[TraceRecord]:
     with open(path, "r", encoding="utf-8") as fp:
         return loads_trace(fp.read())
-
-
-def run_metadata(
-    state_name: str,
-    dims: Sequence[int],
-    seed: int,
-    halt: dict,
-    final_d2: float,
-    trials: int,
-    successes: int,
-    wall_seconds: float,
-    *,
-    mode: str,
-    init: str,
-    sym: Sequence[str],
-    sym_cap: int,
-) -> dict:
-    """The ``meta.json`` document of a ``sepdist run``.
-
-    Besides the outcome it records the settings the run depends on: the
-    state argument as given (a name or a file path), seed, sampler mode,
-    initial state, symmetry generator specs and closure cap, and the halt
-    criteria (by ``HaltCriteria`` field name).  ``versions`` holds the
-    ``sepdist`` and ``numpy`` versions: a seeded trajectory replays bit for
-    bit only on the same numpy kernels, since its bits depend on how they
-    round (numpy's complex multiply, for one, may round a squared modulus
-    ``re*re + im*im`` as the fused multiply-add ``fma(re, re, im*im)``).
-    """
-    return {
-        "state": state_name,
-        "dims": [int(d) for d in dims],
-        "seed": int(seed),
-        "mode": mode,
-        "init": init,
-        "sym": list(sym),
-        "sym_cap": int(sym_cap),
-        "halt": halt,
-        "final_d2": float(final_d2),
-        "c_t": int(trials),
-        "c_s": int(successes),
-        "wall_seconds": float(wall_seconds),
-        "versions": {"sepdist": __version__, "numpy": np.__version__},
-    }
-
-
-def dumps_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def fit_report(ext: ExtrapolationFit, power: PowerFit) -> dict:
-    return {
-        "a": ext.a,
-        "b": ext.b,
-        "r": ext.r,
-        "stride": ext.stride,
-        "f": power.f,
-        "r2": power.r2,
-    }
-
-
-def witness_report(witness: Witness) -> dict:
-    return {
-        "lambda": witness.sep_bound,
-        "value_rho0": witness.target_value,
-        "entangled": witness.entangled,
-        "margin": witness.margin,
-    }

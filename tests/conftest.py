@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sepdist import DensityMatrix, TraceRecord, bell, fileio, hermitize, pure_density
-from sepdist.fileio import KIND_DENSITY
+from sepdist.fileio import KIND_DENSITY, KIND_OPERATOR
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -61,6 +61,13 @@ def with_dims(dims, mat=None, kind=KIND_DENSITY):
     mat = bell().mat if mat is None else mat
     doc = json.loads(fileio.dumps_state(mat, (mat.shape[0],), kind=kind))
     doc["dims"] = dims
+    return json.dumps(doc)
+
+
+def with_entry(entry):
+    """Operator state-file text of the 2 x 2 flip whose first matrix entry is ``entry`` as written."""
+    doc = json.loads(fileio.dumps_state(np.array([[0, 1], [1, 0]]), (2,), kind=KIND_OPERATOR))
+    doc["matrix"][0][0] = entry
     return json.dumps(doc)
 
 

@@ -9,7 +9,9 @@ import pytest
 
 import sepdist
 from sepdist import analysis, cli, fileio, fit_extrapolation, gilbert, named_state, states
-from conftest import exact_decay_trace, subnormal_trace, with_dims
+from conftest import exact_decay_trace, subnormal_trace, with_dims, with_entry
+
+RECORDED_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 
 
 @pytest.fixture
@@ -408,8 +410,8 @@ class TestStateFiles:
 
     @pytest.mark.parametrize(
         "dims",
-        [[2.7, 2.2], ["2", "2"], "22", {"2": None, "02": None}, [True, 4]],
-        ids=["floats", "strings", "string", "object", "bool"],
+        [[2.7, 2.2], ["2", "2"], "22", {"2": None, "02": None}, [True, 4], []],
+        ids=["floats", "strings", "string", "object", "bool", "empty"],
     )
     def test_dims_that_are_not_positive_integers_are_an_io_error(self, tmp_path, capsys, dims):
         path = tmp_path / "state.json"
@@ -429,6 +431,13 @@ class TestStateFiles:
         path.write_text(with_dims([1, 4]))
         assert cli.main(["witness", "--state", str(path), "--css", "max_entangled_css:2"]) == cli.EXIT_VALIDATION
         assert "must all be >= 2" in capsys.readouterr().err
+
+    def test_local_factor_with_an_object_entry_is_an_io_error(self, tmp_path, capsys):
+        # a KeyError traceback, exit 1, before
+        factor = tmp_path / "f.json"
+        factor.write_text(with_entry({"0": 1, "1": 0}))
+        assert cli.main(["run", "--state", "bell", "--halt-cs", "5", "--sym", f"local:{factor},{factor}"]) == cli.EXIT_IO
+        assert "cannot read matrix file" in capsys.readouterr().err
 
     def test_missing_local_matrix_file_is_an_io_error(self, tmp_path, capsys):
         unitary = tmp_path / "x.json"
@@ -450,6 +459,63 @@ def test_non_finite_state_file_is_a_validation_error(command, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "non-finite" in err
+
+
+class TestDocumentLayout:
+    """Key order, formatting and values of the JSON documents the commands write."""
+
+    def test_fit_report(self, capsys):
+        assert cli.main(["fit", str(RECORDED_INPUTS / "bell_trace.csv"), "--stride", "100"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "a": 0.3335513889733543,\n'
+            '  "b": 5.865567771717906,\n'
+            '  "r": 0.9999417933009834,\n'
+            '  "stride": 100,\n'
+            '  "f": 0.5103222611002012,\n'
+            '  "r2": 0.998705682541138\n'
+            "}\n"
+        )
+
+    def test_witness_report(self, capsys):
+        css = str(RECORDED_INPUTS / "ghz3_iterate.json")
+        assert cli.main(["witness", "--state", "ghz:3", "--css", css, "--restarts", "16", "--seed", "0"]) == cli.EXIT_OK
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "lambda": 0.12208948538477167,\n'
+            '  "value_rho0": 0.5861946814626108,\n'
+            '  "entangled": true,\n'
+            '  "margin": 0.4641051960778391\n'
+            "}\n"
+        )
+
+    def test_run_metadata(self, tmp_path, capsys):
+        meta = tmp_path / "meta.json"
+        args = ["run", "--state", "ghz:3", "--sym", "perm:1,0,2", "--sym", "perm:1,2,0", "--halt-cs", "200", "--seed", "1"]
+        assert cli.main([*args, "--meta", str(meta)]) == cli.EXIT_OK
+        assert capsys.readouterr().out == "halted: c_t=19367 c_s=200 d2=0.4979228033884481\n"
+        text = meta.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert list(doc) == [
+            "state", "dims", "seed", "mode", "init", "sym", "sym_cap", "halt",
+            "final_d2", "c_t", "c_s", "wall_seconds", "versions",
+        ]  # fmt: skip
+        assert isinstance(doc.pop("wall_seconds"), float)
+        assert doc == {
+            "state": "ghz:3",
+            "dims": [2, 2, 2],
+            "seed": 1,
+            "mode": "complex",
+            "init": "maxmix",
+            "sym": ["perm:1,0,2", "perm:1,2,0"],
+            "sym_cap": 1024,
+            "halt": {"max_successes": 200, "stall_trials": 1_000_000},
+            "final_d2": 0.4979228033884481,
+            "c_t": 19367,
+            "c_s": 200,
+            "versions": {"sepdist": sepdist.__version__, "numpy": np.__version__},
+        }
 
 
 class TestErrorMapping:

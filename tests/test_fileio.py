@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepdist import DimensionError, FileFormatError, TraceRecord, ValidationError, bell, css_max_entangled, fileio
-from conftest import exact_decay_trace, random_density, rng_for, with_dims
+from conftest import exact_decay_trace, random_density, rng_for, with_dims, with_entry
 
 
 def test_trace_csv_round_trip_is_byte_identical(tmp_path):
@@ -56,8 +56,9 @@ def test_invalid_density_payload_is_rejected_on_load():
         ({"2": None, "02": None}, fileio.KIND_DENSITY),
         ([True, 4], fileio.KIND_DENSITY),
         ([-2, -2], fileio.KIND_OPERATOR),
+        ([], fileio.KIND_OPERATOR),
     ],
-    ids=["floats", "strings", "string", "object", "bool", "negative-operator"],
+    ids=["floats", "strings", "string", "object", "bool", "negative-operator", "empty-operator"],
 )
 def test_dims_that_are_not_positive_integers_are_a_format_error(dims, kind):
     # each read as a valid (2, 2), (1, 4) or (-2, -2) before
@@ -68,3 +69,30 @@ def test_dims_that_are_not_positive_integers_are_a_format_error(dims, kind):
 def test_unit_dimension_reaches_the_density_check():
     with pytest.raises(DimensionError, match="must all be >= 2"):
         fileio.loads_state(with_dims([1, 4]))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"0": 1, "1": 0}, [10**400, 0], [0, 0, 9], [True, False]],
+    ids=["object", "beyond-float-range", "three-numbers", "bools"],
+)
+def test_matrix_entry_that_is_not_a_pair_of_numbers_is_a_format_error(entry):
+    # a KeyError, an OverflowError, a dropped third number and a read of 1 before
+    with pytest.raises(FileFormatError, match="malformed matrix payload"):
+        fileio.loads_state(with_entry(entry))
+
+
+def test_signed_zero_entries_survive():
+    entry = fileio.loads_state(with_entry([-0.0, -0.0])).mat[0, 0]
+    assert np.signbit(entry.real) and np.signbit(entry.imag)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"dims": [' + "1" * 5000 + "]}", "[" * 100_000 + "]" * 100_000],
+    ids=["integer-too-long", "nested-too-deep"],
+)
+def test_json_the_parser_cannot_hold_is_a_format_error(text):
+    # a ValueError and a RecursionError before
+    with pytest.raises(FileFormatError, match="cannot parse JSON"):
+        fileio.loads_state(text)
