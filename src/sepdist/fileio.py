@@ -10,17 +10,23 @@ pair of JSON numbers.  ``kind: "density"`` enforces the full
 density-matrix checks on load; ``kind: "operator"`` holds any square
 matrix of the stated size (witness operators, and the per-party
 unitaries of ``sepdist run --sym local:``).  Trace files are
-CSV with the exact header ``c_t,c_s,d2``; a ``d2`` that is not finite
-(``inf``, ``nan``) is a format error.  Floats are rendered with their
+CSV with the exact header ``c_t,c_s,d2``.  The counters ``c_t`` and ``c_s``
+are decimal integers within int64 (an optional sign and ASCII digits);
+``d2`` is a float written with ASCII digits, and one that is not finite
+(``inf``, ``nan``) is a format error.  Blank lines are skipped, and the
+body is parsed in one numpy call; the line number of a format error
+counts the lines that are not blank.  Floats are rendered with their
 shortest round-trip representation, so write -> read -> write is
-byte-identical.
+byte-identical.  A file that is not UTF-8 text is a format error.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
-from math import isfinite, prod
+from functools import partial
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,6 +36,9 @@ from .gilbert import TraceRecord
 from .linalg import DensityMatrix
 
 TRACE_HEADER = "c_t,c_s,d2"
+_TRACE_DTYPE = np.dtype([("c_t", np.int64), ("c_s", np.int64), ("d2", np.float64)])
+# A TraceRecord from a (c_t, c_s, d2) tuple, built in C: TraceRecord.__new__ does the same in Python.
+_record = partial(tuple.__new__, TraceRecord)
 
 KIND_DENSITY = "density"
 KIND_OPERATOR = "operator"
@@ -127,9 +136,16 @@ def loads_state(text: str) -> StateFile:
     )
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fp:
+            return fp.read()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"not UTF-8 text: {exc}") from exc
+
+
 def read_state(path) -> StateFile:
-    with open(path, "r", encoding="utf-8") as fp:
-        return loads_state(fp.read())
+    return loads_state(_read_text(path))
 
 
 def dumps_trace(trace: Sequence[TraceRecord]) -> str:
@@ -144,25 +160,52 @@ def write_trace(path, trace: Sequence[TraceRecord]) -> None:
         fp.write(dumps_trace(trace))
 
 
+def _table(lines: list[str], dtype: np.dtype = _TRACE_DTYPE) -> Optional[np.ndarray]:
+    """``lines`` parsed as CSV rows of ``dtype``; None if a row does not parse or has a non-finite d2."""
+    with warnings.catch_warnings():
+        # Older numpy reads a float such as 1.0 into an integer column with only a DeprecationWarning.
+        warnings.simplefilter("error")
+        try:
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    if dtype.names and not np.isfinite(table["d2"]).all():
+        return None
+    return table
+
+
+def _first_error(body: list[str]) -> FileFormatError:
+    """The error of the first line of ``body`` that :func:`_table` rejects."""
+    # Rows parse independently, so bisect: body[:lo] parses, body[lo:hi] does not.
+    lo, hi = 0, len(body)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _table(body[lo:mid]) is None:
+            hi = mid
+        else:
+            lo = mid
+    i, fields = lo + 2, body[lo].split(",")  # + 2: line 1 is the header
+    if len(fields) != 3:
+        return FileFormatError(f"line {i}: expected 3 columns, got {len(fields)}")
+    for name, field in zip(_TRACE_DTYPE.names, fields):
+        if _table([field], _TRACE_DTYPE[name]) is None:
+            kind = "a number" if name == "d2" else "a decimal integer within int64"
+            return FileFormatError(f"line {i}: {name} {field.strip()!r} is not {kind}")
+    return FileFormatError(f"line {i}: d2 {fields[2].strip()!r} is not finite")
+
+
 def loads_trace(text: str) -> list[TraceRecord]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != TRACE_HEADER:
         raise FileFormatError(f"trace file must start with header {TRACE_HEADER!r}")
-    records = []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise FileFormatError(f"line {i}: expected 3 columns, got {len(parts)}")
-        try:
-            record = TraceRecord(int(parts[0]), int(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise FileFormatError(f"line {i}: {exc}") from exc
-        if not isfinite(record.d2):
-            raise FileFormatError(f"line {i}: d2 {parts[2].strip()!r} is not finite")
-        records.append(record)
-    return records
+    body = lines[1:]
+    if not body:  # loadtxt would warn that there is no data
+        return []
+    table = _table(body)
+    if table is None:
+        raise _first_error(body)
+    return list(map(_record, zip(*(table[name].tolist() for name in _TRACE_DTYPE.names))))
 
 
 def read_trace(path) -> list[TraceRecord]:
-    with open(path, "r", encoding="utf-8") as fp:
-        return loads_trace(fp.read())
+    return loads_trace(_read_text(path))

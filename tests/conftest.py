@@ -1,9 +1,10 @@
 import json
+from math import isfinite
 
 import numpy as np
 import pytest
 
-from sepdist import DensityMatrix, TraceRecord, bell, fileio, hermitize, pure_density
+from sepdist import DensityMatrix, FileFormatError, TraceRecord, bell, fileio, hermitize, pure_density
 from sepdist.fileio import KIND_DENSITY, KIND_OPERATOR
 
 
@@ -54,6 +55,31 @@ def subnormal_trace():
     d2 = np.geomspace(0.5, 1e-320, 40)
     d2[-1] = 5e-324
     return [TraceRecord(7 * k, k, float(v)) for k, v in enumerate(d2, start=1)]
+
+
+def reference_loads_trace(text):
+    """The trace reader that converted each line in Python, kept as the oracle of ``fileio.loads_trace``.
+
+    It reads what Python's ``int`` and ``float`` read, a superset of the format:
+    numbers with underscores or non-ASCII digits, and counters beyond int64,
+    are format errors in ``fileio`` but not here.
+    """
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].strip() != fileio.TRACE_HEADER:
+        raise FileFormatError(f"trace file must start with header {fileio.TRACE_HEADER!r}")
+    records = []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise FileFormatError(f"line {i}: expected 3 columns, got {len(parts)}")
+        try:
+            record = TraceRecord(int(parts[0]), int(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            raise FileFormatError(f"line {i}: {exc}") from exc
+        if not isfinite(record.d2):
+            raise FileFormatError(f"line {i}: d2 {parts[2].strip()!r} is not finite")
+        records.append(record)
+    return records
 
 
 def with_dims(dims, mat=None, kind=KIND_DENSITY):

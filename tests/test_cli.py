@@ -260,6 +260,19 @@ class TestFit:
         path.write_text("trials,successes\n1,2\n")
         assert cli.main(["fit", str(path)]) == cli.EXIT_IO
 
+    def test_malformed_trace_line_is_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(fileio.dumps_trace(exact_decay_trace(0.002, 8.0, n=20)).replace("28,4,", "28,", 1))
+        assert cli.main(["fit", str(path)]) == cli.EXIT_IO
+        assert "line 5: expected 3 columns, got 2" in capsys.readouterr().err
+
+    def test_counter_beyond_int64_is_an_io_error(self, tmp_path, capsys):
+        # numpy's int64 parse rejects it with a ValueError, which must not escape as a traceback
+        path = tmp_path / "big.csv"
+        path.write_text(f"{fileio.TRACE_HEADER}\n99999999999999999999,1,0.5\n")
+        assert cli.main(["fit", str(path)]) == cli.EXIT_IO
+        assert "line 2: c_t '99999999999999999999' is not a decimal integer within int64" in capsys.readouterr().err
+
 
 class TestRunSym:
     def test_unknown_spec_is_an_argument_error(self):
@@ -538,6 +551,23 @@ class TestErrorMapping:
     def test_state_path_that_is_a_directory_is_an_io_error(self, tmp_path, capsys):
         assert cli.main(["run", "--state", str(tmp_path), "--halt-cs", "1"]) == cli.EXIT_IO
         assert "bad state file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["fit", "{F}"], "cannot read trace"),
+            (["witness", "--state", "bell", "--css", "{F}"], "bad state file"),
+            (["run", "--state", "{F}", "--halt-cs", "2"], "bad state file"),
+        ],
+        ids=["fit", "witness-css", "run-state"],
+    )
+    def test_file_that_is_not_utf8_is_an_io_error(self, tmp_path, capsys, command, message):
+        # a UnicodeDecodeError traceback, exit 1, before
+        path = tmp_path / "f"
+        path.write_bytes(b"\xff\xfe\x00")
+        assert cli.main([arg.replace("{F}", str(path)) for arg in command]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert message in err and "not UTF-8 text" in err
 
     def test_init_dims_mismatch_is_a_validation_error(self, capsys):
         assert cli.main(["run", "--state", "bell", "--init", "ghz:3", "--halt-cs", "1"]) == cli.EXIT_VALIDATION

@@ -1,8 +1,17 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepdist import DimensionError, FileFormatError, TraceRecord, ValidationError, bell, css_max_entangled, fileio
-from conftest import exact_decay_trace, random_density, rng_for, with_dims, with_entry
+from conftest import exact_decay_trace, random_density, reference_loads_trace, rng_for, with_dims, with_entry
+
+RECORDED_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+HEADER = fileio.TRACE_HEADER
+INT64_MAX = 2**63 - 1
 
 
 def test_trace_csv_round_trip_is_byte_identical(tmp_path):
@@ -24,6 +33,175 @@ def test_trace_csv_round_trip_is_byte_identical(tmp_path):
 def test_non_finite_trace_distance_is_a_format_error(d2):
     with pytest.raises(FileFormatError, match="line 2: d2 .* is not finite"):
         fileio.loads_trace(f"{fileio.TRACE_HEADER}\n7,1,{d2}\n14,2,0.25\n")
+
+
+def assert_same_records(text):
+    records = fileio.loads_trace(text)
+    assert records == reference_loads_trace(text)
+    for rec in records:
+        assert type(rec) is TraceRecord
+        assert (type(rec.trials), type(rec.successes), type(rec.d2)) == (int, int, float)
+    return records
+
+
+def error_line(parse, text):
+    with pytest.raises(FileFormatError) as info:
+        parse(text)
+    return int(re.match(r"line (\d+): ", str(info.value)).group(1)), str(info.value)
+
+
+@pytest.mark.parametrize("name", ["bell_trace.csv", "ghz3_trace.csv"])
+def test_recorded_traces_read_as_the_reference_reads_them(name):
+    assert len(assert_same_records((RECORDED_INPUTS / name).read_text(encoding="utf-8"))) > 2000
+
+
+@pytest.mark.parametrize(
+    "trace",
+    [exact_decay_trace(0.002, 8.0), exact_decay_trace(0.01, 3.0, n=500, trial_step=3), exact_decay_trace(0.0, 1.0, n=10)],
+    ids=["b8", "b3", "zero-limit"],
+)
+def test_exact_decay_traces_read_as_the_reference_reads_them(trace):
+    assert assert_same_records(fileio.dumps_trace(trace)) == trace
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"{HEADER}\n7,1,0.5\n\n   \n\t\n14,2,0.25\n\n",
+        f"{HEADER}\r\n7,1,0.5\r\n14,2,0.25\r\n",
+        f"  {HEADER} \n 7 ,  1,0.5  \n\t14\t,2 , 0.25\n",
+        f"{HEADER}\n+7,+1,+0.5\n-3,-4,-0.25\n",
+        f"{HEADER}\n7,1,5e-324\n14,2,{0.1 + 0.2!r}\n21,3,1E-3\n28,4,.5\n35,5,5.\n",
+        f"{HEADER}\n{INT64_MAX},{-INT64_MAX - 1},0.5\n",
+        f"{HEADER}\n",
+        f"{HEADER}\n\n  \n",
+    ],
+    ids=["blank-lines", "crlf", "padded", "signs", "floats", "int64-bounds", "header-only", "header-and-blanks"],
+)
+def test_valid_text_reads_as_the_reference_reads_it(text):
+    # header-only: loadtxt warns on no data, and warnings are errors in this suite
+    assert_same_records(text)
+
+
+NOT_A_COUNTER = "is not a decimal integer within int64"
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("14,2", "expected 3 columns, got 2"),
+        ("14,2,0.25,1", "expected 3 columns, got 4"),
+        ("14,2,0.25,", "expected 3 columns, got 4"),
+        ("1.5,2,0.25", f"c_t '1.5' {NOT_A_COUNTER}"),
+        ("14,1.5,0.25", f"c_s '1.5' {NOT_A_COUNTER}"),
+        ("14,,0.25", f"c_s '' {NOT_A_COUNTER}"),
+        ("14,2,x", "d2 'x' is not a number"),
+        ("14,2,", "d2 '' is not a number"),
+        ("14,2,inf", "d2 'inf' is not finite"),
+        ("14,2,nan", "d2 'nan' is not finite"),
+        ("14,2, -inf", "d2 '-inf' is not finite"),
+        ("14,2,1e400", "d2 '1e400' is not finite"),
+    ],
+    ids=["2-columns", "4-columns", "trailing-comma", "float-c_t", "float-c_s", "empty-c_s", "word-d2", "empty-d2", "inf", "nan", "-inf", "overflow"],
+)
+@pytest.mark.parametrize("where", [0, 3, 40])
+def test_malformed_line_fails_on_the_line_the_reference_names(line, reason, where):
+    good = [f"{7 * k},{k},{1.0 / k!r}" for k in range(1, 60)]
+    # A blank line before the bad one: line numbers count the lines that are not blank.
+    text = "\n".join([HEADER, *good[:where], "", line, *good[where:]]) + "\n"
+    expected = f"line {where + 2}: {reason}"
+    assert error_line(fileio.loads_trace, text) == (where + 2, expected)
+    reference_line, reference_message = error_line(reference_loads_trace, text)
+    assert reference_line == where + 2
+    if "columns" in reason or "finite" in reason:  # these two keep the reference's wording
+        assert reference_message == expected
+
+
+def test_first_of_two_bad_lines_is_named():
+    text = f"{HEADER}\n7,1,0.5\n14,2,nan\n21,3\n"
+    assert str(pytest.raises(FileFormatError, fileio.loads_trace, text).value) == "line 3: d2 'nan' is not finite"
+    text = f"{HEADER}\n7,1,0.5\n14,2\n21,3,nan\n"
+    assert str(pytest.raises(FileFormatError, fileio.loads_trace, text).value) == "line 3: expected 3 columns, got 2"
+
+
+def test_bad_last_line_of_a_long_trace_is_named():
+    text = fileio.dumps_trace(exact_decay_trace(0.002, 8.0, n=20_000)) + "1,2,x\n"
+    assert error_line(fileio.loads_trace, text) == (20_002, "line 20002: d2 'x' is not a number")
+
+
+@pytest.mark.parametrize(
+    "counter, shown",
+    [
+        (str(INT64_MAX + 1), repr(str(INT64_MAX + 1))),
+        ("99999999999999999999", "'99999999999999999999'"),
+        (str(-INT64_MAX - 2), repr(str(-INT64_MAX - 2))),
+        ("1_000", "'1_000'"),
+        ("\u0661", "'\u0661'"),
+    ],
+    ids=["int64-max-plus-one", "twenty-nines", "int64-min-minus-one", "underscore", "arabic-indic-one"],
+)
+@pytest.mark.parametrize("column", ["c_t", "c_s"])
+def test_counter_python_reads_but_int64_does_not_is_a_format_error(counter, shown, column):
+    # Python's int read each of these; the format now takes decimal ASCII integers within int64.
+    fields = {"c_t": "7", "c_s": "1", column: counter}
+    text = f"{HEADER}\n{fields['c_t']},{fields['c_s']},0.5\n"
+    reference_loads_trace(text)
+    with pytest.raises(FileFormatError, match=re.escape(f"line 2: {column} {shown} is not a decimal integer within int64")):
+        fileio.loads_trace(text)
+
+
+@pytest.mark.parametrize("d2", ["1_0.5", "\u0661.\u0665"], ids=["underscore", "arabic-indic-digits"])
+def test_distance_python_reads_but_numpy_does_not_is_a_format_error(d2):
+    text = f"{HEADER}\n7,1,{d2}\n"
+    reference_loads_trace(text)
+    with pytest.raises(FileFormatError, match=re.escape(f"line 2: d2 {d2!r} is not a number")):
+        fileio.loads_trace(text)
+
+
+def test_trace_file_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\xff" + HEADER.encode() + b"\n7,1,0.5\n")
+    with pytest.raises(FileFormatError, match="not UTF-8 text"):
+        fileio.read_trace(path)
+
+
+def test_state_file_that_is_not_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "s.json"
+    path.write_bytes(b"\xff" + fileio.dumps_state(bell().mat, (2, 2)).encode())
+    with pytest.raises(FileFormatError, match="not UTF-8 text"):
+        fileio.read_state(path)
+
+
+counters = st.integers(min_value=-(2**63), max_value=INT64_MAX)
+distances = st.floats(allow_nan=False, allow_infinity=False)
+padding = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def trace_texts(draw):
+    rows = draw(st.lists(st.tuples(counters, counters, distances, padding, padding), max_size=30))
+    lines = [HEADER]
+    for c_t, c_s, d2, left, right in rows:
+        lines.append(f"{left}{c_t}{right},{c_s},{left}{d2!r}{right}")
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t  "])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_texts())
+def test_generated_traces_read_as_the_reference_reads_them(text):
+    assert_same_records(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace_texts(), st.data())
+def test_generated_bad_line_is_named_as_the_reference_names_it(text, data):
+    lines = text.split("\n")
+    at = data.draw(st.integers(min_value=1, max_value=len(lines) - 1))
+    bad = data.draw(st.sampled_from(["1,2", "1,2,3,4", "1.5,2,0.5", "1,2,x", "1,2,inf", "1,2,nan", "1,2,"]))
+    text = "\n".join([*lines[:at], bad, *lines[at:]])
+    assert error_line(fileio.loads_trace, text)[0] == error_line(reference_loads_trace, text)[0]
 
 
 def test_state_round_trip_is_text_identical():
