@@ -31,7 +31,7 @@ DEFAULT_RESTARTS = 64
 # points in (b, ln gap), scored at once.
 ZOOM_POINTS = 9
 # Alternating ascent of max_sep_overlap: stop a restart once a sweep gains
-# no more than GAIN_TOL, or after MAX_SWEEPS sweeps.
+# no more than GAIN_TOL, after MAX_SWEEPS sweeps, or once it falls behind.
 GAIN_TOL = 1e-12
 MAX_SWEEPS = 200
 
@@ -228,13 +228,26 @@ def max_sep_overlap(
     Alternating best-response ascent: with all parties but one fixed, the
     optimal free vector is the top eigenvector of the partially contracted
     operator.  Runs ``restarts`` random product starts (an integer, at
-    least one) as one batch; each start is swept until a sweep gains at
-    most ``GAIN_TOL`` or ``MAX_SWEEPS`` sweeps have run, and from then on
-    keeps its value and vectors while the others sweep on.  The starts are
-    drawn from ``rng`` one restart after the other, so ``restarts`` calls
-    with one start each on a shared ``rng`` replay the batch.  Returns the
-    best value found (the first start to reach it) and the per-party
-    vectors achieving it.
+    least one) as one batch.  Each start is swept until one of these holds,
+    and from then on keeps its value and vectors while the others sweep on:
+
+    - a sweep gains at most ``GAIN_TOL``;
+    - ``MAX_SWEEPS`` sweeps have run;
+    - it falls behind: its gain is no larger than on the sweep before (the
+      first sweep, from no value, has no gain), and its value plus that gain
+      on every sweep left before ``MAX_SWEEPS`` is below the best value any
+      start holds.
+
+    The third rule assumes that a start's gains, once they shrink, do not
+    grow again, much as ``GAIN_TOL`` assumes that a start gaining that little
+    is done.  Under it, a start that falls behind could not have finished
+    above the best, so the value returned is the value the batch returns
+    without the rule.  The best start never falls behind.  The starts are
+    drawn from ``rng`` one restart after the other, and a lone start is
+    always the best, so ``restarts`` calls with one start each on a shared
+    ``rng`` reproduce the batch's best value (to rounding), but not the
+    values at which the starts behind it stop.  Returns the best value found
+    (the first start to reach it) and the per-party vectors achieving it.
 
     Party blocks are prepared once per call (:func:`_party_blocks`), so each party step of a
     sweep (:func:`_sweep`) is one BLAS product and one stacked ``eigh``, the floor left.
@@ -256,17 +269,21 @@ def max_sep_overlap(
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             vecs[p][r] = v / np.linalg.norm(v)
     blocks = _party_blocks(m, dims)
-    # The starts still sweeping, their vectors and values; written back on the sweep they stop.
-    active, cur, top = np.arange(restarts), list(vecs), np.full(restarts, -np.inf)
-    values = top.copy()
+    # The starts still sweeping, their vectors, values and last gains; written back on the sweep
+    # they stop.  Values start at nan, so the first sweep's gain is nan and meets neither rule.
+    active, cur, top, gain = np.arange(restarts), list(vecs), np.full(restarts, np.nan), np.full(restarts, np.nan)
+    values = np.full(restarts, -np.inf)
     for sweep in range(MAX_SWEEPS):
         prev, top = top, _sweep(blocks, dims, cur)
-        stop = (top - prev <= GAIN_TOL) | (sweep == MAX_SWEEPS - 1)
+        last, gain = gain, top - prev
+        lead = max(values.max(), top.max())
+        behind = (gain <= last) & (top + gain * (MAX_SWEEPS - 1 - sweep) < lead)
+        stop = (gain <= GAIN_TOL) | behind | (sweep == MAX_SWEEPS - 1)
         if stop.any():
             values[active[stop]] = top[stop]
             for v, c in zip(vecs, cur):
                 v[active[stop]] = c[stop]
-            active, top, cur = active[~stop], top[~stop], [c[~stop] for c in cur]
+            active, top, gain, cur = active[~stop], top[~stop], gain[~stop], [c[~stop] for c in cur]
             if not active.size:
                 break
     best = int(np.argmax(values))

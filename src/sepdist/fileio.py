@@ -14,8 +14,8 @@ CSV with the exact header ``c_t,c_s,d2``.  The counters ``c_t`` and ``c_s``
 are decimal integers within int64 (an optional sign and ASCII digits);
 ``d2`` is a float written with ASCII digits, and one that is not finite
 (``inf``, ``nan``) is a format error.  Blank lines are skipped, and the
-body is parsed in one numpy call; the line number of a format error
-counts the lines that are not blank.  Floats are rendered with their
+body is parsed in one numpy call; a format error names the line of the
+file, blank lines counted.  Floats are rendered with their
 shortest round-trip representation, so write -> read -> write is
 byte-identical.  A file that is not UTF-8 text is a format error.
 """
@@ -174,8 +174,8 @@ def _table(lines: list[str], dtype: np.dtype = _TRACE_DTYPE) -> Optional[np.ndar
     return table
 
 
-def _first_error(body: list[str]) -> FileFormatError:
-    """The error of the first line of ``body`` that :func:`_table` rejects."""
+def _first_error(body: list[str]) -> tuple[int, str]:
+    """The index in ``body`` of the first line that :func:`_table` rejects, and why."""
     # Rows parse independently, so bisect: body[:lo] parses, body[lo:hi] does not.
     lo, hi = 0, len(body)
     while hi - lo > 1:
@@ -184,26 +184,30 @@ def _first_error(body: list[str]) -> FileFormatError:
             hi = mid
         else:
             lo = mid
-    i, fields = lo + 2, body[lo].split(",")  # + 2: line 1 is the header
+    fields = body[lo].split(",")
     if len(fields) != 3:
-        return FileFormatError(f"line {i}: expected 3 columns, got {len(fields)}")
+        return lo, f"expected 3 columns, got {len(fields)}"
     for name, field in zip(_TRACE_DTYPE.names, fields):
         if _table([field], _TRACE_DTYPE[name]) is None:
             kind = "a number" if name == "d2" else "a decimal integer within int64"
-            return FileFormatError(f"line {i}: {name} {field.strip()!r} is not {kind}")
-    return FileFormatError(f"line {i}: d2 {fields[2].strip()!r} is not finite")
+            return lo, f"{name} {field.strip()!r} is not {kind}"
+    return lo, f"d2 {fields[2].strip()!r} is not finite"
 
 
 def loads_trace(text: str) -> list[TraceRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != TRACE_HEADER:
+    lines = text.splitlines()
+    kept = [ln for ln in lines if ln.strip()]
+    if not kept or kept[0].strip() != TRACE_HEADER:
         raise FileFormatError(f"trace file must start with header {TRACE_HEADER!r}")
-    body = lines[1:]
+    body = kept[1:]
     if not body:  # loadtxt would warn that there is no data
         return []
     table = _table(body)
     if table is None:
-        raise _first_error(body)
+        k, reason = _first_error(body)
+        # Name the file's line: body[k] is the (k + 2)-th line that is not blank.
+        line = [i for i, ln in enumerate(lines, start=1) if ln.strip()][k + 1]
+        raise FileFormatError(f"line {line}: {reason}")
     return list(map(_record, zip(*(table[name].tolist() for name in _TRACE_DTYPE.names))))
 
 

@@ -62,13 +62,14 @@ def reference_loads_trace(text):
 
     It reads what Python's ``int`` and ``float`` read, a superset of the format:
     numbers with underscores or non-ASCII digits, and counters beyond int64,
-    are format errors in ``fileio`` but not here.
+    are format errors in ``fileio`` but not here.  An error names the file's
+    line, blank lines counted.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != fileio.TRACE_HEADER:
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != fileio.TRACE_HEADER:
         raise FileFormatError(f"trace file must start with header {fileio.TRACE_HEADER!r}")
     records = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = line.split(",")
         if len(parts) != 3:
             raise FileFormatError(f"line {i}: expected 3 columns, got {len(parts)}")

@@ -414,11 +414,26 @@ def with_row_counts(call):
         return call(), rows
 
 
+def single_tracks(op, dims, restarts, seed):
+    """Each restart as its own call on one shared rng: its value after every sweep."""
+    rng, tracks, sweep = rng_for(seed), [], analysis._sweep
+
+    def recording(blocks, dims, vecs):
+        top = sweep(blocks, dims, vecs)
+        tracks[-1].append(float(top[0]))
+        return top
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_sweep", recording)
+        for _ in range(restarts):
+            tracks.append([])
+            max_sep_overlap(op, dims, 1, rng)
+    return tracks
+
+
 def replay_singly(op, dims, restarts, seed):
     """Each restart as its own call on one shared rng: (value, contraction calls) per restart."""
-    rng = rng_for(seed)
-    calls = [with_row_counts(lambda: max_sep_overlap(op, dims, 1, rng)) for _ in range(restarts)]
-    return [(value, len(rows)) for (value, _), rows in calls]
+    return [(track[-1], len(track) * len(dims)) for track in single_tracks(op, dims, restarts, seed)]
 
 
 def product_overlap(op, vecs):
@@ -455,9 +470,9 @@ class TestBatchedRestarts:
         (value, vecs), rows = with_row_counts(lambda: max_sep_overlap(op, dims, 8, rng_for(0)))
         assert abs(value - max(v for v, _ in singles)) <= 1e-12
         assert abs(product_overlap(op, vecs) - value) <= 1e-12
-        # A stopped start sweeps no more: the batch pins as many vectors as the single calls.
-        assert len(rows) == 3 * MAX_SWEEPS
-        assert sum(rows) == sum(calls for _, calls in singles)
+        # A stopped start sweeps no more, and one that can no longer catch the best stops early:
+        # the batch pins fewer vectors than the single calls.
+        assert sum(rows) < sum(calls for _, calls in singles)
 
     def test_sweep_cap_keeps_the_last_sweep(self):
         # A start that MAX_SWEEPS stops, not its gain, returns its last sweep's value and vectors.
@@ -469,6 +484,73 @@ class TestBatchedRestarts:
                 capped += 1
                 assert abs(product_overlap(op, vecs) - value) <= 1e-12
         assert capped
+
+
+@cache
+def recorded_difference(iterate):
+    """Target minus the recorded iterate, and the target's dims."""
+    target = {"ghz3_iterate.json": ghz(3), "upb_iterate.json": upb_tiles_state()}[iterate]
+    return target.mat - fileio.read_state(RECORDED_INPUTS / iterate).to_density().mat, target.dims
+
+
+@cache
+def recorded_tracks(iterate):
+    """:func:`single_tracks` of the first 64 restarts of seed 0 on a recorded iterate: a prefix is the oracle of fewer."""
+    return single_tracks(*recorded_difference(iterate), 64, seed=0)
+
+
+class TestStopBehind:
+    """A restart whose gains shrink, and which cannot catch the best by MAX_SWEEPS, stops early.
+
+    A lone restart is always the best, so single calls replay the unpruned batch: its value is
+    the largest of theirs.
+    """
+
+    @pytest.mark.parametrize(
+        "iterate, restarts",
+        [("ghz3_iterate.json", 16), ("ghz3_iterate.json", 64), ("upb_iterate.json", 16)],
+        ids=["ghz3-16", "ghz3-64", "upb-16"],
+    )
+    def test_recorded_iterates_keep_the_best_single_restart(self, iterate, restarts):
+        op, dims = recorded_difference(iterate)
+        value, vecs = max_sep_overlap(op, dims, restarts, rng_for(0))
+        assert abs(value - max(t[-1] for t in recorded_tracks(iterate)[:restarts])) <= 1e-12
+        assert abs(product_overlap(op, vecs) - value) <= 1e-12
+
+    def test_restarts_behind_stop_early(self):
+        # 13 of these 16 restarts run all MAX_SWEEPS sweeps alone, 7869 rows in all.
+        op, dims = recorded_difference("ghz3_iterate.json")
+        _, rows = with_row_counts(lambda: max_sep_overlap(op, dims, 16, rng_for(0)))
+        assert sum(rows) < 16 * 3 * 20
+
+    def test_growing_gains_keep_a_restart(self):
+        # The best of these 16 restarts climbs out of a saddle: its gains grow over its first
+        # sweeps, and its first real gain alone would not carry it past the best by MAX_SWEEPS.
+        op, dims = recorded_difference("ghz3_iterate.json")
+        tracks = recorded_tracks("ghz3_iterate.json")[:16]
+        climb = max(tracks, key=lambda t: t[-1])
+        gains = np.diff(climb[:6])
+        assert np.all(np.diff(gains) > 0)
+        assert climb[1] + gains[0] * (MAX_SWEEPS - 2) < max(t[1] for t in tracks)
+        value, _ = max_sep_overlap(op, dims, 16, rng_for(0))
+        assert abs(value - climb[-1]) <= 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 2, 2), (2, 3, 2), (2, 2, 2, 2)])
+    def test_random_operators_keep_the_best_single_restart(self, dims):
+        batch_rows = single_rows = 0
+        for seed in range(6):
+            rng = rng_for(seed)
+            # Even seeds: a difference of two states, as build_witness passes; odd: any Hermitian operator.
+            if seed % 2:
+                op = random_hermitian(int(np.prod(dims)), rng)
+            else:
+                op = random_density(dims, rng).mat - random_density(dims, rng).mat
+            singles = replay_singly(op, dims, 16, seed=100 + seed)
+            (value, _), rows = with_row_counts(lambda: max_sep_overlap(op, dims, 16, rng_for(100 + seed)))
+            assert abs(value - max(v for v, _ in singles)) <= 1e-12
+            batch_rows += sum(rows)
+            single_rows += sum(calls for _, calls in singles)
+        assert batch_rows < single_rows  # the rule stopped some restart early
 
 
 def nested_pinning(op, dims, vecs, p):
@@ -530,11 +612,11 @@ class TestOneCallPinning:
             (
                 "ghz3_iterate.json",
                 ghz(3),
-                "0x1.f4141aae9be95p-4",
+                "0x1.f4141aae9be92p-4",
                 [
                     [-0.999955341777067 + 0j, -0.002043651990234003 - 0.009227022166010033j],
-                    [-0.9999822266554222 + 0j, -0.005961965814004832 - 3.656359631922919e-05j],
-                    [-0.9998838099423879 + 0j, 0.01518685773200646 + 0.001313760755427614j],
+                    [-0.9999822266554222 + 0j, -0.005961965814004829 - 3.6563596319229295e-05j],
+                    [-0.9998838099423879 + 0j, 0.01518685773200646 + 0.0013137607554276147j],
                 ],
             ),
             (

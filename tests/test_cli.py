@@ -266,6 +266,12 @@ class TestFit:
         assert cli.main(["fit", str(path)]) == cli.EXIT_IO
         assert "line 5: expected 3 columns, got 2" in capsys.readouterr().err
 
+    def test_malformed_line_after_a_blank_line_is_named_as_in_the_file(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text(f"{fileio.TRACE_HEADER}\n\n7,1,0.5\n14,2\n")
+        assert cli.main(["fit", str(path)]) == cli.EXIT_IO
+        assert "line 4: expected 3 columns, got 2" in capsys.readouterr().err
+
     def test_counter_beyond_int64_is_an_io_error(self, tmp_path, capsys):
         # numpy's int64 parse rejects it with a ValueError, which must not escape as a traceback
         path = tmp_path / "big.csv"
@@ -495,10 +501,10 @@ class TestDocumentLayout:
         assert cli.main(["witness", "--state", "ghz:3", "--css", css, "--restarts", "16", "--seed", "0"]) == cli.EXIT_OK
         assert capsys.readouterr().out == (
             "{\n"
-            '  "lambda": 0.12208948538477167,\n'
+            '  "lambda": 0.12208948538477163,\n'
             '  "value_rho0": 0.5861946814626108,\n'
             '  "entangled": true,\n'
-            '  "margin": 0.4641051960778391\n'
+            '  "margin": 0.4641051960778392\n'
             "}\n"
         )
 

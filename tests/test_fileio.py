@@ -107,14 +107,21 @@ NOT_A_COUNTER = "is not a decimal integer within int64"
 @pytest.mark.parametrize("where", [0, 3, 40])
 def test_malformed_line_fails_on_the_line_the_reference_names(line, reason, where):
     good = [f"{7 * k},{k},{1.0 / k!r}" for k in range(1, 60)]
-    # A blank line before the bad one: line numbers count the lines that are not blank.
+    # A blank line before the bad one: the error names the file's line, blank lines counted.
     text = "\n".join([HEADER, *good[:where], "", line, *good[where:]]) + "\n"
-    expected = f"line {where + 2}: {reason}"
-    assert error_line(fileio.loads_trace, text) == (where + 2, expected)
+    expected = f"line {where + 3}: {reason}"
+    assert text.splitlines()[where + 2] == line
+    assert error_line(fileio.loads_trace, text) == (where + 3, expected)
     reference_line, reference_message = error_line(reference_loads_trace, text)
-    assert reference_line == where + 2
+    assert reference_line == where + 3
     if "columns" in reason or "finite" in reason:  # these two keep the reference's wording
         assert reference_message == expected
+
+
+def test_named_line_counts_blank_and_whitespace_lines():
+    text = f"\n{HEADER}\r\n \r\n7,1,0.5\r\n\t\r\n\r\n14,2\r\n21,3,0.25\r\n"
+    assert error_line(fileio.loads_trace, text) == (7, "line 7: expected 3 columns, got 2")
+    assert error_line(reference_loads_trace, text) == (7, "line 7: expected 3 columns, got 2")
 
 
 def test_first_of_two_bad_lines_is_named():
