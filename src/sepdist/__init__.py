@@ -35,8 +35,6 @@ from .gilbert import (
     RunResult,
     RunState,
     TraceRecord,
-    line_search,
-    preselect,
     run,
 )
 from .linalg import (

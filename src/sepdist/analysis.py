@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateError, DimensionError, ParameterError
-from .gilbert import TraceRecord
+from .gilbert import TRACE_DTYPE, TraceRecord
 # contract_party stays importable from here: the benchmark's traced run patches analysis.contract_party.
 from .linalg import DensityMatrix, as_matrix, contract_party, hermitize, hs_inner, require_hermitian  # noqa: F401
 
@@ -70,10 +70,18 @@ class PowerFit:
     r2: float
 
 
-def _strided(trace: Sequence[TraceRecord], stride: int):
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
-    return [rec for rec in trace if rec[1] % stride == 0]
+def _columns(trace: Sequence[TraceRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trials, successes and d2 columns of ``trace``.
+
+    A table of ``TRACE_DTYPE``, as ``fileio.read_trace`` returns, or a list
+    of its rows, gives its fields as they are.  Any other sequence of
+    ``(trials, successes, d2)`` rows is converted once, as floats.
+    """
+    table = np.asarray(trace)
+    if table.dtype.names is not None:
+        return tuple(table[name] for name in TRACE_DTYPE.names)
+    rows = table.astype(float, copy=False).reshape(-1, 3)
+    return rows[:, 0], rows[:, 1], rows[:, 2]
 
 
 def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -104,9 +112,12 @@ def fit_extrapolation(
 ) -> ExtrapolationFit:
     """Estimate the distance limit by correlation maximization.
 
-    Subsamples the trace at every ``stride``-th success, then maximizes the
-    correlation between the success index and |ln(d2 - a)|^b over a in
-    [0, min d2) and b in ``b_range`` by one zoom search in
+    ``trace`` is a table of ``TRACE_DTYPE``, as ``fileio.read_trace``
+    returns, or any sequence of ``(trials, successes, d2)`` rows such as a
+    run's list of :class:`TraceRecord`; both give the same fit.  Subsamples
+    the trace at every ``stride``-th success (``stride >= 1``), then
+    maximizes the correlation between the success index and |ln(d2 - a)|^b
+    over a in [0, min d2) and b in ``b_range`` by one zoom search in
     ``u = ln(min d2 - a)`` and b.  u ranges over ``[ln min d2 + ln 1e-12,
     ln min d2]`` and ``a = max(min d2 - e^u, 0)``, so ``0 <= a < min d2``.
     The first ``ZOOM_POINTS`` x ``ZOOM_POINTS`` window is centred on that
@@ -123,11 +134,14 @@ def fit_extrapolation(
     b_lo, b_hi = (float(v) for v in b_range)
     if not 0.0 < b_lo <= b_hi < inf:
         raise ParameterError(f"b_range must satisfy 0 < b_min <= b_max < inf, got {b_range}")
-    picked = _strided(trace, stride)
-    if len(picked) < 10:
-        raise ParameterError(f"need at least 10 trace points after striding, got {len(picked)}")
-    x = np.array([rec[1] for rec in picked], dtype=float)
-    g = np.array([rec[2] for rec in picked], dtype=float)
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    _, successes, d2 = _columns(trace)
+    picked = successes % stride == 0
+    x = successes[picked].astype(float)
+    g = d2[picked]
+    if x.size < 10:
+        raise ParameterError(f"need at least 10 trace points after striding, got {x.size}")
     if not np.all(np.diff(g) < 0):
         raise ParameterError("trace distances must be strictly decreasing")
     if g[-1] <= 0.0:
@@ -171,12 +185,15 @@ def fit_extrapolation(
 def fit_power(trace: Sequence[TraceRecord]) -> PowerFit:
     """Least-squares line through (ln trials, ln successes); the slope is the exponent.
 
-    The counters must be positive and nondecreasing, as in every trace a run writes.
+    ``trace`` is a table of ``TRACE_DTYPE`` or any sequence of ``(trials,
+    successes, d2)`` rows, as for :func:`fit_extrapolation`.  The counters
+    must be positive and nondecreasing, as in every trace a run writes.
     """
     if len(trace) < 10:
         raise ParameterError(f"need at least 10 trace points, got {len(trace)}")
-    ct = np.array([rec[0] for rec in trace], dtype=float)
-    cs = np.array([rec[1] for rec in trace], dtype=float)
+    trials, successes, _ = _columns(trace)
+    ct = trials.astype(float)
+    cs = successes.astype(float)
     if np.any(ct <= 0) or np.any(cs <= 0):
         raise ParameterError("trace counters must be strictly positive")
     if np.any(np.diff(ct) < 0) or np.any(np.diff(cs) < 0):

@@ -15,9 +15,14 @@ are decimal integers within int64 (an optional sign and ASCII digits);
 ``d2`` is a float written with ASCII digits, and one that is not finite
 (``inf``, ``nan``) is a format error.  Blank lines are skipped, and the
 body is parsed in one numpy call; a format error names the line of the
-file, blank lines counted.  Floats are rendered with their
-shortest round-trip representation, so write -> read -> write is
-byte-identical.  A file that is not UTF-8 text is a format error.
+file, blank lines counted.  A trace is read as a numpy record array of
+``gilbert.TRACE_DTYPE``, one row per record with the fields of
+:class:`~sepdist.gilbert.TraceRecord` (``trials``, ``successes``, ``d2``
+for the columns ``c_t``, ``c_s``, ``d2``), and written from that table or
+from any sequence of ``(trials, successes, d2)`` rows, with the same bytes.
+Floats are rendered with their shortest round-trip representation, so
+write -> read -> write is byte-identical.  A file that is not UTF-8 text is
+a format error.
 """
 
 from __future__ import annotations
@@ -25,20 +30,18 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import FileFormatError, ValidationError
-from .gilbert import TraceRecord
+from .gilbert import TRACE_DTYPE, TraceRecord
 from .linalg import DensityMatrix
 
 TRACE_HEADER = "c_t,c_s,d2"
-_TRACE_DTYPE = np.dtype([("c_t", np.int64), ("c_s", np.int64), ("d2", np.float64)])
-# A TraceRecord from a (c_t, c_s, d2) tuple, built in C: TraceRecord.__new__ does the same in Python.
-_record = partial(tuple.__new__, TraceRecord)
+# The file's name for each field of TRACE_DTYPE, in order.
+_TRACE_COLUMNS = TRACE_HEADER.split(",")
 
 KIND_DENSITY = "density"
 KIND_OPERATOR = "operator"
@@ -149,8 +152,9 @@ def read_state(path) -> StateFile:
 
 
 def dumps_trace(trace: Sequence[TraceRecord]) -> str:
+    """The CSV text of ``trace``: a table of ``TRACE_DTYPE``, or a sequence of ``(trials, successes, d2)`` rows."""
     lines = [TRACE_HEADER]
-    for rec in trace:
+    for rec in trace.tolist() if isinstance(trace, np.ndarray) else trace:
         lines.append(f"{int(rec[0])},{int(rec[1])},{float(rec[2])!r}")
     return "\n".join(lines) + "\n"
 
@@ -160,7 +164,7 @@ def write_trace(path, trace: Sequence[TraceRecord]) -> None:
         fp.write(dumps_trace(trace))
 
 
-def _table(lines: list[str], dtype: np.dtype = _TRACE_DTYPE) -> Optional[np.ndarray]:
+def _table(lines: list[str], dtype: np.dtype = TRACE_DTYPE) -> Optional[np.ndarray]:
     """``lines`` parsed as CSV rows of ``dtype``; None if a row does not parse or has a non-finite d2."""
     with warnings.catch_warnings():
         # Older numpy reads a float such as 1.0 into an integer column with only a DeprecationWarning.
@@ -187,29 +191,36 @@ def _first_error(body: list[str]) -> tuple[int, str]:
     fields = body[lo].split(",")
     if len(fields) != 3:
         return lo, f"expected 3 columns, got {len(fields)}"
-    for name, field in zip(_TRACE_DTYPE.names, fields):
-        if _table([field], _TRACE_DTYPE[name]) is None:
+    for name, column, field in zip(TRACE_DTYPE.names, _TRACE_COLUMNS, fields):
+        if _table([field], TRACE_DTYPE[name]) is None:
             kind = "a number" if name == "d2" else "a decimal integer within int64"
-            return lo, f"{name} {field.strip()!r} is not {kind}"
+            return lo, f"{column} {field.strip()!r} is not {kind}"
     return lo, f"d2 {fields[2].strip()!r} is not finite"
 
 
-def loads_trace(text: str) -> list[TraceRecord]:
+def loads_trace(text: str) -> np.recarray:
+    """The trace in ``text`` as a record array of ``TRACE_DTYPE``, empty for a header-only file.
+
+    Its rows are ``np.record`` objects with ``TraceRecord``'s fields, so
+    ``rec.successes`` and ``rec[1]`` read a row and ``table["d2"]`` a column.
+    Raises :class:`FileFormatError` naming the first bad line of the file.
+    """
     lines = text.splitlines()
     kept = [ln for ln in lines if ln.strip()]
     if not kept or kept[0].strip() != TRACE_HEADER:
         raise FileFormatError(f"trace file must start with header {TRACE_HEADER!r}")
     body = kept[1:]
     if not body:  # loadtxt would warn that there is no data
-        return []
+        return np.recarray(0, dtype=TRACE_DTYPE)
     table = _table(body)
     if table is None:
         k, reason = _first_error(body)
         # Name the file's line: body[k] is the (k + 2)-th line that is not blank.
         line = [i for i, ln in enumerate(lines, start=1) if ln.strip()][k + 1]
         raise FileFormatError(f"line {line}: {reason}")
-    return list(map(_record, zip(*(table[name].tolist() for name in _TRACE_DTYPE.names))))
+    return table.view(np.recarray)
 
 
-def read_trace(path) -> list[TraceRecord]:
+def read_trace(path) -> np.recarray:
+    """The trace file at ``path`` as :func:`loads_trace` reads its text: a record array of ``TRACE_DTYPE``."""
     return loads_trace(_read_text(path))

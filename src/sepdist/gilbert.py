@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, ParameterError, ValidationError
-from .linalg import DensityMatrix, as_matrix, hermitize, hsd_sq, is_ppt, maximally_mixed
+from .errors import DimensionError, ParameterError, ValidationError
+from .linalg import DensityMatrix, hermitize, hsd_sq, is_ppt, maximally_mixed
 from .states import SamplerConfig, StateSampler
 from .symmetry import INVARIANCE_TOL, SymmetryGroup, invariance_check, twirl, twirl_pure
 
@@ -98,6 +98,10 @@ class TraceRecord(NamedTuple):
     d2: float
 
 
+# TraceRecord's fields as one numpy record: the layout of a trace read from a file.
+TRACE_DTYPE = np.dtype(list(zip(TraceRecord._fields, (np.int64, np.int64, np.float64))))
+
+
 @dataclass
 class RunState:
     """Mutable run state: the target, the separable iterate, counters, log."""
@@ -139,43 +143,6 @@ class RunResult:
     state: RunState
     trace: list[TraceRecord]
     wall_seconds: float
-
-
-def _reference_operands(target, approx, trial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three matrices, checked for matching party dims and shapes."""
-    if isinstance(target, DensityMatrix) and isinstance(approx, DensityMatrix) and target.dims != approx.dims:
-        raise DimensionError(f"dims mismatch: {target.dims} vs {approx.dims}")
-    t, a, r = as_matrix(target), as_matrix(approx), as_matrix(trial)
-    if not (t.shape == a.shape == r.shape):
-        raise DimensionError(f"shape mismatch: {t.shape}, {a.shape}, {r.shape}")
-    return t, a, r
-
-
-def preselect(target, approx, trial) -> float:
-    """Value of Tr[(trial - approx)(target - approx)]; accept when positive."""
-    t, a, r = _reference_operands(target, approx, trial)
-    return float(np.vdot(r - a, t - a).real)
-
-
-def line_search(target, approx, trial) -> tuple[float, float]:
-    """Exact minimizer of d2 over mixtures w*approx + (1-w)*trial.
-
-    Returns the weight clamped to [0, 1] and the squared distance at the
-    clamped weight, evaluated by quadratic expansion.  An independent
-    reference for the run loop: it shares no code with ``_Engine.try_accept``.
-    Like ``preselect``, it raises :class:`DimensionError` when the party dims
-    of two :class:`DensityMatrix` arguments, or the matrix shapes, differ.
-    """
-    t, a, r = _reference_operands(target, approx, trial)
-    # d2(w) = |(t - r) - w (a - r)|^2 = aa - 2 w ab + w^2 bb
-    tr, ar = t - r, a - r
-    aa = float(np.vdot(tr, tr).real)
-    ab = float(np.vdot(tr, ar).real)
-    bb = float(np.vdot(ar, ar).real)
-    if bb < DEGENERATE_TOL:
-        raise DegenerateError("approx and trial coincide; line search direction is degenerate")
-    w = min(1.0, max(0.0, ab / bb))
-    return w, aa - 2.0 * w * ab + w * w * bb
 
 
 def run(

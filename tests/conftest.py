@@ -4,8 +4,20 @@ from math import isfinite
 import numpy as np
 import pytest
 
-from sepdist import DensityMatrix, FileFormatError, TraceRecord, bell, fileio, hermitize, pure_density
+from sepdist import (
+    DegenerateError,
+    DensityMatrix,
+    DimensionError,
+    FileFormatError,
+    TraceRecord,
+    bell,
+    fileio,
+    hermitize,
+    pure_density,
+)
 from sepdist.fileio import KIND_DENSITY, KIND_OPERATOR
+from sepdist.gilbert import DEGENERATE_TOL
+from sepdist.linalg import as_matrix
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -81,6 +93,45 @@ def reference_loads_trace(text):
             raise FileFormatError(f"line {i}: d2 {parts[2].strip()!r} is not finite")
         records.append(record)
     return records
+
+
+# The trial test and line search of the run loop, as plain matrix algebra: the references that
+# TestEngineAgainstReferences replays a seeded run against.
+def _reference_operands(target, approx, trial) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three matrices, checked for matching party dims and shapes."""
+    if isinstance(target, DensityMatrix) and isinstance(approx, DensityMatrix) and target.dims != approx.dims:
+        raise DimensionError(f"dims mismatch: {target.dims} vs {approx.dims}")
+    t, a, r = as_matrix(target), as_matrix(approx), as_matrix(trial)
+    if not (t.shape == a.shape == r.shape):
+        raise DimensionError(f"shape mismatch: {t.shape}, {a.shape}, {r.shape}")
+    return t, a, r
+
+
+def preselect(target, approx, trial) -> float:
+    """Value of Tr[(trial - approx)(target - approx)]; accept when positive."""
+    t, a, r = _reference_operands(target, approx, trial)
+    return float(np.vdot(r - a, t - a).real)
+
+
+def line_search(target, approx, trial) -> tuple[float, float]:
+    """Exact minimizer of d2 over mixtures w*approx + (1-w)*trial.
+
+    Returns the weight clamped to [0, 1] and the squared distance at the
+    clamped weight, evaluated by quadratic expansion.  An independent
+    reference for the run loop: it shares no code with ``_Engine.try_accept``.
+    Like ``preselect``, it raises :class:`DimensionError` when the party dims
+    of two :class:`DensityMatrix` arguments, or the matrix shapes, differ.
+    """
+    t, a, r = _reference_operands(target, approx, trial)
+    # d2(w) = |(t - r) - w (a - r)|^2 = aa - 2 w ab + w^2 bb
+    tr, ar = t - r, a - r
+    aa = float(np.vdot(tr, tr).real)
+    ab = float(np.vdot(tr, ar).real)
+    bb = float(np.vdot(ar, ar).real)
+    if bb < DEGENERATE_TOL:
+        raise DegenerateError("approx and trial coincide; line search direction is degenerate")
+    w = min(1.0, max(0.0, ab / bb))
+    return w, aa - 2.0 * w * ab + w * w * bb
 
 
 def with_dims(dims, mat=None, kind=KIND_DENSITY):

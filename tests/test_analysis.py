@@ -29,7 +29,7 @@ from sepdist import (
 )
 from sepdist import analysis
 from sepdist.analysis import MAX_SWEEPS
-from conftest import exact_decay_trace, random_density, random_hermitian, rng_for, subnormal_trace
+from conftest import exact_decay_trace, random_density, random_hermitian, reference_loads_trace, rng_for, subnormal_trace
 
 
 RECORDED_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
@@ -301,6 +301,29 @@ class TestFitPower:
     def test_decreasing_counter_rejected(self, make_record):
         with pytest.raises(ParameterError, match="nondecreasing"):
             fit_power([make_record(k) for k in range(1, 41)])
+
+
+class TestTableInput:
+    """The table ``fileio.read_trace`` returns fits as the list of records the old reader built."""
+
+    @pytest.mark.parametrize("stride", [1, 37, 100])
+    @pytest.mark.parametrize("name", ["bell_trace.csv", "ghz3_trace.csv"])
+    def test_table_and_record_list_fit_alike(self, name, stride):
+        text = (RECORDED_INPUTS / name).read_text(encoding="utf-8")
+        table, records = fileio.loads_trace(text), reference_loads_trace(text)
+        assert fit_extrapolation(table, stride=stride) == fit_extrapolation(records, stride=stride)
+        assert fit_power(table) == fit_power(records)
+
+    def test_list_of_table_rows_fits_as_the_table(self):
+        table = fileio.read_trace(RECORDED_INPUTS / "ghz3_trace.csv")
+        assert fit_extrapolation(list(table)) == fit_extrapolation(table)
+        assert fit_power(list(table)) == fit_power(table)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_is_rejected_on_the_table(self, stride):
+        table = fileio.read_trace(RECORDED_INPUTS / "bell_trace.csv")
+        with pytest.raises(ParameterError, match=f"stride must be >= 1, got {stride}"):
+            fit_extrapolation(table, stride=stride)
 
 
 def _grid_scan(op_tensor, thetas, phis):

@@ -6,7 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepdist import DimensionError, FileFormatError, TraceRecord, ValidationError, bell, css_max_entangled, fileio
+from sepdist import (
+    DimensionError,
+    FileFormatError,
+    ParameterError,
+    TraceRecord,
+    ValidationError,
+    bell,
+    css_max_entangled,
+    fileio,
+    fit_power,
+)
+from sepdist.gilbert import TRACE_DTYPE
 from conftest import exact_decay_trace, random_density, reference_loads_trace, rng_for, with_dims, with_entry
 
 RECORDED_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
@@ -26,7 +37,28 @@ def test_trace_csv_round_trip_is_byte_identical(tmp_path):
     records = fileio.read_trace(first)
     fileio.write_trace(second, records)
     assert second.read_bytes() == first.read_bytes()
-    assert records == trace
+    assert records.tolist() == trace
+
+
+@pytest.mark.parametrize("name", ["bell_trace.csv", "ghz3_trace.csv"])
+def test_table_and_record_list_write_the_same_bytes(name, tmp_path):
+    text = (RECORDED_INPUTS / name).read_text(encoding="utf-8")
+    fileio.write_trace(tmp_path / "table.csv", fileio.loads_trace(text))
+    fileio.write_trace(tmp_path / "list.csv", reference_loads_trace(text))
+    recorded = (RECORDED_INPUTS / name).read_bytes()
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "list.csv").read_bytes() == recorded
+
+
+def test_header_only_trace_round_trips_and_does_not_fit(tmp_path):
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    first.write_text(f"{HEADER}\n\n", encoding="utf-8")
+    table = fileio.read_trace(first)
+    assert len(table) == 0 and table.dtype == TRACE_DTYPE
+    fileio.write_trace(second, table)
+    assert second.read_text(encoding="utf-8") == f"{HEADER}\n"
+    expected = str(pytest.raises(ParameterError, fit_power, []).value)
+    assert expected == "need at least 10 trace points, got 0"
+    assert str(pytest.raises(ParameterError, fit_power, table).value) == expected
 
 
 @pytest.mark.parametrize("d2", ["inf", "nan"])
@@ -37,11 +69,13 @@ def test_non_finite_trace_distance_is_a_format_error(d2):
 
 def assert_same_records(text):
     records = fileio.loads_trace(text)
-    assert records == reference_loads_trace(text)
-    for rec in records:
-        assert type(rec) is TraceRecord
-        assert (type(rec.trials), type(rec.successes), type(rec.d2)) == (int, int, float)
-    return records
+    assert isinstance(records, np.recarray) and records.dtype == TRACE_DTYPE
+    rows = records.tolist()
+    assert rows == reference_loads_trace(text)
+    for rec, row in zip(records, rows):
+        assert (rec.trials, rec.successes, rec.d2) == row
+        assert (type(row[0]), type(row[1]), type(row[2])) == (int, int, float)
+    return rows
 
 
 def error_line(parse, text):

@@ -21,17 +21,15 @@ from sepdist import (
     hsd_sq,
     invariance_check,
     is_ppt,
-    line_search,
     local_unitary,
     max_entangled,
     maximally_mixed,
     party_permutation,
-    preselect,
     run,
     twirl_pure,
 )
 from sepdist import gilbert
-from conftest import random_density, rng_for
+from conftest import line_search, preselect, random_density, rng_for
 
 BELL = bell()
 MAXMIX = maximally_mixed((2, 2))

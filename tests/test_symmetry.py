@@ -267,7 +267,7 @@ class TestPreselectionInvariance:
     def test_functional_unchanged_under_stabilizing_unitary(self):
         # the twirl leaves the preselection value untouched when the
         # symmetry stabilizes both the target and the iterate
-        from sepdist import preselect
+        from conftest import preselect
 
         group = closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2))
         target = bell()
