@@ -45,7 +45,8 @@ def correlation(x: Sequence[float], y: Sequence[float]) -> float:
     if x.size < 2:
         raise ParameterError("need at least two points")
     xc, xn = _centred(x)
-    r = float(_corr_with(xc, xn, y[None, :])[0])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        r = float(_corr_with(xc, xn, y[None, :])[0])
     if not isfinite(r):
         raise DegenerateError("zero variance; correlation is undefined")
     return r
@@ -95,12 +96,11 @@ def _corr_with(xc: np.ndarray, xn: float, rows: np.ndarray) -> np.ndarray:
 
     Centres each row before it multiplies, so large offsets do not cancel.
     Clamps at 1, which rounding can exceed on rows that fit x exactly.
-    Gives -inf where a row has zero variance or non-finite entries.
+    Gives -inf where a row has zero variance or non-finite entries; the
+    caller sets ``np.errstate`` for the warnings those raise.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rc = rows - rows.mean(axis=1, keepdims=True)
-        rn = np.sqrt((rc * rc).sum(axis=1))
-        r = (rc @ xc) / (rn * xn)
+    rc = rows - (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
+    r = (rc @ xc) / (np.sqrt(np.add.reduce(rc * rc, axis=1)) * xn)
     return np.where(np.isfinite(r), np.minimum(r, 1.0), -np.inf)
 
 
@@ -158,25 +158,23 @@ def fit_extrapolation(
     offsets = np.arange(ZOOM_POINTS) - half
     step_u = (u_hi - u_lo) / (ZOOM_POINTS - 1)
     step_b = (b_hi - b_lo) / (ZOOM_POINTS - 1)
-    while step_u > 1e-9 or step_b > 1e-7:
-        u = np.clip(u_best + step_u * offsets, u_lo, u_hi)
-        a = np.maximum(dmin - np.exp(u), 0.0)
-        b = np.clip(b_best + step_b * offsets, b_lo, b_hi)
-        # Where e^u underflows, g - a is 0 at the last point.
-        with np.errstate(divide="ignore"):
-            ln_abs = np.abs(np.log(g - a[:, None]))
-        with np.errstate(over="ignore"):
-            r = _corr_with(xc, xn, (ln_abs ** b[:, None, None]).reshape(-1, n))
-        i = int(np.argmax(r))
-        if r[i] > r_best:
-            ib, iu = divmod(i, ZOOM_POINTS)
-            r_best, u_best, a_best, b_best = float(r[i]), float(u[iu]), float(a[iu]), float(b[ib])
-            # The optimum may lie beyond the window's edge (in b, only if b
-            # moves): recentre, same steps.
-            if abs(offsets[iu]) == half or (step_b > 0.0 and abs(offsets[ib]) == half):
-                continue
-        step_u /= 2.0
-        step_b /= 2.0
+    # Where e^u underflows, g - a is 0 at the last point; the power may overflow.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while step_u > 1e-9 or step_b > 1e-7:
+            u = np.minimum(np.maximum(u_best + step_u * offsets, u_lo), u_hi)
+            a = np.maximum(dmin - np.exp(u), 0.0)
+            b = np.minimum(np.maximum(b_best + step_b * offsets, b_lo), b_hi)
+            r = _corr_with(xc, xn, (np.abs(np.log(g - a[:, None])) ** b[:, None, None]).reshape(-1, n))
+            i = int(np.argmax(r))
+            if r[i] > r_best:
+                ib, iu = divmod(i, ZOOM_POINTS)
+                r_best, u_best, a_best, b_best = float(r[i]), float(u[iu]), float(a[iu]), float(b[ib])
+                # The optimum may lie beyond the window's edge (in b, only if b
+                # moves): recentre, same steps.
+                if abs(offsets[iu]) == half or (step_b > 0.0 and abs(offsets[ib]) == half):
+                    continue
+            step_u /= 2.0
+            step_b /= 2.0
     if not isfinite(r_best):
         raise DegenerateError("no (a, b) gives a finite correlation; the fit is undefined")
     return ExtrapolationFit(a=a_best, b=b_best, r=r_best, stride=stride)
@@ -234,6 +232,21 @@ def _sweep(blocks: Sequence[np.ndarray], dims: tuple[int, ...], vecs: list[np.nd
     return vals[:, -1]
 
 
+def _starts(rng: np.random.Generator, dims: tuple[int, ...], restarts: int) -> list[np.ndarray]:
+    """Per-party unit start vectors, one row per restart, from one restart-major draw on ``rng``.
+
+    Row r of the draw is restart r's ``[re_0, im_0, re_1, im_1, ...]``: the
+    stream of drawing one restart after the other, party by party.
+    """
+    draws, vecs = rng.standard_normal((restarts, 2 * sum(dims))), []
+    for p, d in enumerate(dims):
+        at = 2 * sum(dims[:p])
+        v = draws[:, at : at + d] + 1j * draws[:, at + d : at + 2 * d]
+        # One norm per row, as for a lone start: a norm over axis 1 rounds differently.
+        vecs.append(v / np.array([np.linalg.norm(row) for row in v])[:, None])
+    return vecs
+
+
 def max_sep_overlap(
     op,
     dims,
@@ -259,12 +272,13 @@ def max_sep_overlap(
     grow again, much as ``GAIN_TOL`` assumes that a start gaining that little
     is done.  Under it, a start that falls behind could not have finished
     above the best, so the value returned is the value the batch returns
-    without the rule.  The best start never falls behind.  The starts are
-    drawn from ``rng`` one restart after the other, and a lone start is
-    always the best, so ``restarts`` calls with one start each on a shared
-    ``rng`` reproduce the batch's best value (to rounding), but not the
-    values at which the starts behind it stop.  Returns the best value found
-    (the first start to reach it) and the per-party vectors achieving it.
+    without the rule.  The best start never falls behind.  The starts come
+    from one restart-major draw on ``rng`` (:func:`_starts`), in the order of
+    drawing one restart after the other, and a lone start is always the
+    best, so ``restarts`` calls with one start each on a shared ``rng``
+    reproduce the batch's best value (to rounding), but not the values at
+    which the starts behind it stop.  Returns the best value found (the
+    first start to reach it) and the per-party vectors achieving it.
 
     Party blocks are prepared once per call (:func:`_party_blocks`), so each party step of a
     sweep (:func:`_sweep`) is one BLAS product and one stacked ``eigh``, the floor left.
@@ -280,11 +294,7 @@ def max_sep_overlap(
     require_hermitian(m, what="overlap operator")
     if rng is None:
         rng = np.random.default_rng(0)
-    vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
-    for r in range(restarts):
-        for p, d in enumerate(dims):
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            vecs[p][r] = v / np.linalg.norm(v)
+    vecs = _starts(rng, dims, restarts)
     blocks = _party_blocks(m, dims)
     # The starts still sweeping, their vectors, values and last gains; written back on the sweep
     # they stop.  Values start at nan, so the first sweep's gain is nan and meets neither rule.

@@ -1,5 +1,5 @@
 import json
-from math import isfinite
+from math import inf, isfinite, log
 
 import numpy as np
 import pytest
@@ -9,12 +9,15 @@ from sepdist import (
     DensityMatrix,
     DimensionError,
     FileFormatError,
+    ParameterError,
     TraceRecord,
+    analysis,
     bell,
     fileio,
     hermitize,
     pure_density,
 )
+from sepdist.analysis import ZOOM_POINTS, ExtrapolationFit
 from sepdist.fileio import KIND_DENSITY, KIND_OPERATOR
 from sepdist.gilbert import DEGENERATE_TOL
 from sepdist.linalg import as_matrix
@@ -93,6 +96,82 @@ def reference_loads_trace(text):
             raise FileFormatError(f"line {i}: d2 {parts[2].strip()!r} is not finite")
         records.append(record)
     return records
+
+
+def _reference_corr_with(xc, xn, rows):
+    """The row correlation the zoom search scored each level with: row means by ``ndarray.mean``, its own ``np.errstate``."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        rc = rows - rows.mean(axis=1, keepdims=True)
+        rn = np.sqrt((rc * rc).sum(axis=1))
+        r = (rc @ xc) / (rn * xn)
+    return np.where(np.isfinite(r), np.minimum(r, 1.0), -np.inf)
+
+
+def reference_fit_extrapolation(trace, stride=analysis.DEFAULT_STRIDE, *, b_range=(1.0, 20.0)):
+    """The zoom search that scored each level through :func:`_reference_corr_with`, kept as the oracle of ``fit_extrapolation``.
+
+    Three ``np.errstate`` blocks and two ``np.clip`` calls per level; the
+    same arithmetic, so it gives the same ``(a, b, r)`` bits.
+    """
+    b_lo, b_hi = (float(v) for v in b_range)
+    if not 0.0 < b_lo <= b_hi < inf:
+        raise ParameterError(f"b_range must satisfy 0 < b_min <= b_max < inf, got {b_range}")
+    if stride < 1:
+        raise ParameterError(f"stride must be >= 1, got {stride}")
+    _, successes, d2 = analysis._columns(trace)
+    picked = successes % stride == 0
+    x = successes[picked].astype(float)
+    g = d2[picked]
+    if x.size < 10:
+        raise ParameterError(f"need at least 10 trace points after striding, got {x.size}")
+    if not np.all(np.diff(g) < 0):
+        raise ParameterError("trace distances must be strictly decreasing")
+    if g[-1] <= 0.0:
+        raise ParameterError("trace distances must stay positive")
+    dmin = float(g[-1])
+    n = g.size
+    xc, xn = analysis._centred(x)  # x is fixed: centred and normed once
+
+    # Zoom in u = ln(min d2 - a), where the ridge of r is far wider than in a,
+    # from the centre of the box.  A sum of logs: dmin * 1e-12 can underflow.
+    u_lo, u_hi = log(dmin) + log(1e-12), log(dmin)
+    r_best, u_best, a_best, b_best = -np.inf, 0.5 * (u_lo + u_hi), 0.0, 0.5 * (b_lo + b_hi)
+    half = ZOOM_POINTS // 2
+    offsets = np.arange(ZOOM_POINTS) - half
+    step_u = (u_hi - u_lo) / (ZOOM_POINTS - 1)
+    step_b = (b_hi - b_lo) / (ZOOM_POINTS - 1)
+    while step_u > 1e-9 or step_b > 1e-7:
+        u = np.clip(u_best + step_u * offsets, u_lo, u_hi)
+        a = np.maximum(dmin - np.exp(u), 0.0)
+        b = np.clip(b_best + step_b * offsets, b_lo, b_hi)
+        # Where e^u underflows, g - a is 0 at the last point.
+        with np.errstate(divide="ignore"):
+            ln_abs = np.abs(np.log(g - a[:, None]))
+        with np.errstate(over="ignore"):
+            r = _reference_corr_with(xc, xn, (ln_abs ** b[:, None, None]).reshape(-1, n))
+        i = int(np.argmax(r))
+        if r[i] > r_best:
+            ib, iu = divmod(i, ZOOM_POINTS)
+            r_best, u_best, a_best, b_best = float(r[i]), float(u[iu]), float(a[iu]), float(b[ib])
+            # The optimum may lie beyond the window's edge (in b, only if b
+            # moves): recentre, same steps.
+            if abs(offsets[iu]) == half or (step_b > 0.0 and abs(offsets[ib]) == half):
+                continue
+        step_u /= 2.0
+        step_b /= 2.0
+    if not isfinite(r_best):
+        raise DegenerateError("no (a, b) gives a finite correlation; the fit is undefined")
+    return ExtrapolationFit(a=a_best, b=b_best, r=r_best, stride=stride)
+
+
+def reference_starts(rng, dims, restarts):
+    """The start draw of ``max_sep_overlap`` restart by restart, party by party, kept as the oracle of ``analysis._starts``."""
+    vecs = [np.empty((restarts, d), dtype=complex) for d in dims]
+    for r in range(restarts):
+        for p, d in enumerate(dims):
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            vecs[p][r] = v / np.linalg.norm(v)
+    return vecs
 
 
 # The trial test and line search of the run loop, as plain matrix algebra: the references that

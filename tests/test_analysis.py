@@ -29,7 +29,16 @@ from sepdist import (
 )
 from sepdist import analysis
 from sepdist.analysis import MAX_SWEEPS
-from conftest import exact_decay_trace, random_density, random_hermitian, reference_loads_trace, rng_for, subnormal_trace
+from conftest import (
+    exact_decay_trace,
+    random_density,
+    random_hermitian,
+    reference_fit_extrapolation,
+    reference_loads_trace,
+    reference_starts,
+    rng_for,
+    subnormal_trace,
+)
 
 
 RECORDED_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
@@ -303,6 +312,38 @@ class TestFitPower:
             fit_power([make_record(k) for k in range(1, 41)])
 
 
+class TestZoomOracle:
+    """Each zoom level scored in one pass gives the bits of the level scored through ``_corr_with``."""
+
+    @pytest.mark.parametrize("b_range", [(1.0, 20.0), (2.0, 9.0), (6.0, 6.0), (8.0, 8.0)], ids=str)
+    @pytest.mark.parametrize("stride", [1, 37, 100, 150])
+    @pytest.mark.parametrize(
+        "make_trace",
+        [
+            recorded_trace("bell_trace.csv"),
+            recorded_trace("ghz3_trace.csv"),
+            lambda: exact_decay_trace(0.0, 6.0),
+            lambda: exact_decay_trace(0.002, 8.0, n=400),
+            lambda: exact_decay_trace(0.002, 10.0, n=400),
+            lambda: exact_decay_trace(0.01, 3.0, n=500, trial_step=3),
+            lambda: exact_decay_trace(0.1, 6.0, n=400),
+            subnormal_trace,
+        ],
+        ids=["bell", "ghz3", "exact-0-6", "exact-0.002-8", "exact-0.002-10", "exact-0.01-3", "exact-0.1-6", "subnormal"],
+    )
+    def test_same_bits_as_the_reference(self, make_trace, stride, b_range):
+        trace = make_trace()
+        try:
+            expected = reference_fit_extrapolation(trace, stride, b_range=b_range)
+        except ParameterError as exc:  # too few points after striding
+            with pytest.raises(ParameterError, match=str(exc)):
+                fit_extrapolation(trace, stride, b_range=b_range)
+            return
+        fit = fit_extrapolation(trace, stride, b_range=b_range)
+        assert [v.hex() for v in (fit.a, fit.b, fit.r)] == [v.hex() for v in (expected.a, expected.b, expected.r)]
+        assert fit.stride == stride
+
+
 class TestTableInput:
     """The table ``fileio.read_trace`` returns fits as the list of records the old reader built."""
 
@@ -520,6 +561,20 @@ def recorded_difference(iterate):
 def recorded_tracks(iterate):
     """:func:`single_tracks` of the first 64 restarts of seed 0 on a recorded iterate: a prefix is the oracle of fewer."""
     return single_tracks(*recorded_difference(iterate), 64, seed=0)
+
+
+class TestStartsOracle:
+    """One restart-major draw of the starts replays the per-restart, per-party draws bit for bit."""
+
+    @pytest.mark.parametrize("restarts", [1, 8, 64])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 3, 2)])
+    def test_same_bits_as_the_reference(self, dims, restarts):
+        rng, ref_rng = rng_for(5), rng_for(5)
+        vecs = analysis._starts(rng, dims, restarts)
+        expected = reference_starts(ref_rng, dims, restarts)
+        assert len(vecs) == len(expected)
+        assert all(np.array_equal(v, w) for v, w in zip(vecs, expected))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state  # the same draws were taken
 
 
 class TestStopBehind:
