@@ -39,14 +39,12 @@ from .gilbert import (
 )
 from .linalg import (
     DensityMatrix,
-    contract_party,
     hermitize,
     hs_inner,
     hsd_sq,
     is_ppt,
     maximally_mixed,
     partial_transpose,
-    pure_density,
 )
 from .states import (
     SamplerConfig,

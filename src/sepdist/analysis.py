@@ -363,17 +363,3 @@ def build_witness(
         target_value=float(value),
         dims=target.dims,
     )
-
-
-__all__ = [
-    "correlation",
-    "ExtrapolationFit",
-    "fit_extrapolation",
-    "PowerFit",
-    "fit_power",
-    "max_sep_overlap",
-    "Witness",
-    "build_witness",
-    "DEFAULT_STRIDE",
-    "DEFAULT_RESTARTS",
-]

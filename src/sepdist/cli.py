@@ -7,11 +7,12 @@ Subcommands::
     witness  build an entanglement witness from a target and an approximation
     state    write a named reference state as a JSON state file
 
-Exit codes: 0 success, 2 for a raw argument value, 3 for I/O or a file
-format, 4 for anything the library rejects (``--stride``,
-``--b-min``/``--b-max`` and ``--restarts`` included).  ``sepdist --help``
-prints the rule in full (``EXIT_HELP``); :func:`_failures` is the one place
-that maps library errors to these codes.
+Exit codes: 0 success, 2 for a raw argument value (an oversized state name
+included), 3 for I/O or a file format, 4 for anything the library
+rejects (``--stride``, ``--b-min``/``--b-max`` and ``--restarts`` included)
+and for running out of memory.  ``sepdist --help`` prints the rule in full
+(``EXIT_HELP``); :func:`_failures` is the one place that maps library errors
+to these codes, and :func:`main` maps ``MemoryError``.
 
 ``run --meta``, ``fit`` and ``witness`` build their JSON documents in the
 command; ``fileio`` holds only the formats it reads back.  ``meta.json``
@@ -42,10 +43,10 @@ EXIT_VALIDATION = 4
 
 EXIT_HELP = (
     "exit codes: 0 success; 2 a raw argument value is malformed or out of range "
-    "(halt criteria, --seed, --dims, --sym syntax, --sym-cap, unknown state name); "
+    "(halt criteria, --seed, --dims, --sym syntax, --sym-cap, unknown or oversized state name); "
     "3 a file cannot be read or written or does not parse; "
     "4 the library rejects an input (invalid state, mismatched dimensions, a group that "
-    "moves the target, an unusable trace, --stride, --b-min/--b-max, --restarts)"
+    "moves the target, an unusable trace, --stride, --b-min/--b-max, --restarts) or memory runs out"
 )
 
 DEFAULT_STALL = 1_000_000  # run --stall when neither --halt-ct nor --stall is given
@@ -179,7 +180,7 @@ def cmd_run(args) -> int:
     final = result.state
     if args.trace is not None:
         with _failures(f"cannot write trace {args.trace!r}"):
-            fileio.write_trace(args.trace, result.trace)
+            fileio.write_trace(args.trace, final.trace)
     if args.meta is not None:
         # versions: a seeded trajectory
         # replays bit for bit only on the same numpy kernels, since its bits depend on
@@ -329,6 +330,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"sepdist: {exc}", file=sys.stderr)
         return exc.code
+    except MemoryError as exc:
+        print(f"sepdist: out of memory: {exc}".rstrip(": "), file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def entry() -> None:

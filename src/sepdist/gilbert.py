@@ -140,6 +140,8 @@ class RunState:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Final state and wall time; ``trace`` is ``state.trace``, kept for the benchmark harness."""
+
     state: RunState
     trace: list[TraceRecord]
     wall_seconds: float

@@ -82,16 +82,6 @@ class DensityMatrix:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-
-def pure_density(vec: np.ndarray, dims) -> DensityMatrix:
-    """Projector onto the given (normalized) state vector."""
-    vec = np.asarray(vec, dtype=complex).ravel()
-    return DensityMatrix(tuple(dims), np.outer(vec, vec.conj()))
-
 
 def maximally_mixed(dims) -> DensityMatrix:
     """The white-noise state I/D on the given subsystem dimensions."""
@@ -133,6 +123,9 @@ def hsd_sq(a, b) -> float:
     return _inner_raw(diff, diff)
 
 
+# No package code calls it and the package does not export it.  It stays because the
+# benchmark's traced run patches it as analysis.contract_party, and the tests check
+# analysis._sweep against it.
 def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     """Pin one party of a multipartite operator to a fixed vector.
 

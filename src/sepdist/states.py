@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import DensityMatrix, maximally_mixed
+from .linalg import DensityMatrix
 
 MODES = ("complex", "real")
 
@@ -158,9 +158,7 @@ def css_max_entangled(d: int) -> DensityMatrix:
     The mixture of the entangled projector (weight 1/(d+1)) with white
     noise (weight d/(d+1)); the squared distance to it is (d-1)/(d+1).
     """
-    if d < 2:
-        raise ParameterError(f"local dimension must be >= 2, got {d}")
-    mat = (1.0 / (d + 1)) * max_entangled(d).mat
+    mat = max_entangled(d).mat * (1.0 / (d + 1))  # max_entangled checks d
     mat += (d / (d + 1)) * np.eye(d * d, dtype=complex) / (d * d)
     return DensityMatrix((d, d), mat)
 
@@ -262,16 +260,22 @@ _FIXED_NAMES = {
     "real_limit_bell": real_limit_bell,
 }
 
+# name: (builder, D of its D x D matrix; ghz caps n at 64, which is already too large)
 _PARAMETRIC_NAMES = {
-    "max_entangled": max_entangled,
-    "max_entangled_css": css_max_entangled,
-    "ghz": ghz,
-    "ghz_css": css_ghz,
+    "max_entangled": (max_entangled, lambda d: d * d),
+    "max_entangled_css": (css_max_entangled, lambda d: d * d),
+    "ghz": (ghz, lambda n: 2 ** min(n, 64)),
+    "ghz_css": (css_ghz, lambda n: 2 ** min(n, 64)),
 }
 
 
 def named_state(name: str) -> DensityMatrix:
-    """Resolve a state name such as ``bell``, ``ghz:3`` or ``max_entangled_css:2``."""
+    """Resolve a state name such as ``bell``, ``ghz:3`` or ``max_entangled_css:2``.
+
+    Raises :class:`ParameterError` for an unknown name or a bad parameter, and, before
+    building, for a complex D x D matrix numpy cannot index (16 D^2 bytes above intp's
+    maximum): ``ghz:30`` and ``max_entangled:27555`` and above.
+    """
     name = name.strip()
     if name in _FIXED_NAMES:
         return _FIXED_NAMES[name]()
@@ -282,23 +286,8 @@ def named_state(name: str) -> DensityMatrix:
                 value = int(arg)
             except ValueError:
                 raise ParameterError(f"bad parameter {arg!r} in state name {name!r}") from None
-            return _PARAMETRIC_NAMES[head](value)
+            build, size = _PARAMETRIC_NAMES[head]
+            if value >= 2 and 16 * size(value) ** 2 > np.iinfo(np.intp).max:
+                raise ParameterError(f"state {name!r} is too large: numpy cannot index its matrix")
+            return build(value)
     raise ParameterError(f"unknown state name {name!r}")
-
-
-__all__ = [
-    "SamplerConfig",
-    "StateSampler",
-    "max_entangled",
-    "css_max_entangled",
-    "bell",
-    "ghz",
-    "css_ghz",
-    "ghz_css_weight",
-    "ghz_css_distance",
-    "upb_tiles_state",
-    "upb_tiles_vectors",
-    "real_limit_bell",
-    "maximally_mixed",
-    "named_state",
-]

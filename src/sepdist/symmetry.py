@@ -28,10 +28,13 @@ INVARIANCE_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class SymmetryGroup:
-    """A finite list of unitaries (identity included) on a fixed party structure."""
+    """A finite list of unitaries (identity included) on a fixed party structure.
+
+    ``elements`` is one ``(order, D, D)`` array, one dense unitary per element.
+    """
 
     dims: tuple[int, ...]
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     @property
     def order(self) -> int:
@@ -152,16 +155,21 @@ def closure(generators, dims, cap: int = 1024) -> SymmetryGroup:
             found.append(candidate)
             if len(found) > cap:
                 raise CapacityError(f"group closure exceeded cap {cap}")
-    return SymmetryGroup(dims, tuple(e.matrix() for e in found))
+    # Filled in place, one element at a time: never a second copy of the group.
+    dense = np.fromiter((e.matrix() for e in found), dtype=np.dtype((complex, (prod(dims),) * 2)), count=len(found))
+    return SymmetryGroup(dims, dense)
+
+
+def _images(rho: DensityMatrix, group: SymmetryGroup):
+    """Each image ``U rho U^dagger``, one element at a time: the whole ``(order, D, D)`` stack may not fit."""
+    if rho.dims != group.dims:
+        raise DimensionError(f"state dims {rho.dims} differ from group dims {group.dims}")
+    return (u @ rho.mat @ u.conj().T for u in group.elements)
 
 
 def twirl(rho: DensityMatrix, group: SymmetryGroup) -> DensityMatrix:
     """Group average (1/k) sum_U U rho U^dagger."""
-    if rho.dims != group.dims:
-        raise DimensionError(f"state dims {rho.dims} differ from group dims {group.dims}")
-    acc = np.zeros_like(rho.mat)
-    for u in group.elements:
-        acc += u @ rho.mat @ u.conj().T
+    acc = sum(_images(rho, group), np.zeros_like(rho.mat))
     return DensityMatrix(rho.dims, hermitize(acc / group.order))
 
 
@@ -170,7 +178,7 @@ def twirl_pure(ket: np.ndarray, group: SymmetryGroup) -> np.ndarray:
     ket = np.asarray(ket, dtype=complex).ravel()
     if ket.shape[0] != prod(group.dims):
         raise DimensionError(f"ket length {ket.shape[0]} does not match group dims {group.dims}")
-    orbit = np.stack([u @ ket for u in group.elements])
+    orbit = group.elements @ ket
     acc = np.einsum("ki,kj->ij", orbit, orbit.conj()) / group.order
     return hermitize(acc)
 
@@ -180,10 +188,4 @@ def invariance_check(rho: DensityMatrix, group: SymmetryGroup) -> float:
 
     Values above ``INVARIANCE_TOL`` mean the group is not a symmetry of the state.
     """
-    if rho.dims != group.dims:
-        raise DimensionError(f"state dims {rho.dims} differ from group dims {group.dims}")
-    worst = 0.0
-    for u in group.elements:
-        moved = u @ rho.mat @ u.conj().T
-        worst = max(worst, hsd_sq(rho.mat, moved))
-    return worst
+    return max((hsd_sq(rho.mat, moved) for moved in _images(rho, group)), default=0.0)

@@ -15,7 +15,6 @@ from sepdist import (
     bell,
     fileio,
     hermitize,
-    pure_density,
 )
 from sepdist.analysis import ZOOM_POINTS, ExtrapolationFit
 from sepdist.fileio import KIND_DENSITY, KIND_OPERATOR
@@ -47,9 +46,23 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
+def projector(vec, dims) -> DensityMatrix:
+    """The density matrix of the pure state ``vec`` on parties ``dims``."""
+    vec = np.asarray(vec, dtype=complex).ravel()
+    return DensityMatrix(tuple(dims), np.outer(vec, vec.conj()))
+
+
+def reference_twirl_pure(ket, group):
+    """The twirl of a ket with its orbit taken one element at a time, kept as the oracle of ``symmetry.twirl_pure``."""
+    ket = np.asarray(ket, dtype=complex).ravel()
+    orbit = np.stack([u @ ket for u in group.elements])
+    acc = np.einsum("ki,kj->ij", orbit, orbit.conj()) / group.order
+    return hermitize(acc)
+
+
 def random_product_density(dims, sampler) -> DensityMatrix:
     """A random pure product state from ``sampler``, as a rank-1 density matrix."""
-    return pure_density(sampler.product_kets(dims, 1)[0], dims)
+    return projector(sampler.product_kets(dims, 1)[0], dims)
 
 
 def exact_decay_trace(a, b, n=2000, gap_start=0.3, gap_end=None, trial_step=7):

@@ -13,7 +13,6 @@ from sepdist import (
     ValidationError,
     bell,
     build_witness,
-    contract_party,
     correlation,
     css_ghz,
     css_max_entangled,
@@ -29,6 +28,7 @@ from sepdist import (
 )
 from sepdist import analysis
 from sepdist.analysis import MAX_SWEEPS
+from sepdist.linalg import contract_party
 from conftest import (
     exact_decay_trace,
     random_density,

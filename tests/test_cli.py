@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -578,6 +579,43 @@ class TestErrorMapping:
     def test_init_dims_mismatch_is_a_validation_error(self, capsys):
         assert cli.main(["run", "--state", "bell", "--init", "ghz:3", "--halt-cs", "1"]) == cli.EXIT_VALIDATION
         assert "initial state dims" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [["state", "{N}"], ["run", "--state", "{N}", "--halt-cs", "1"], ["witness", "--state", "bell", "--css", "{N}"]],
+        ids=["state", "run", "witness"],
+    )
+    @pytest.mark.parametrize("name", ["ghz:99999999999999999999", "ghz:40", "ghz_css:70", "max_entangled:100000"])
+    def test_state_name_too_large_to_build_is_an_argument_error(self, capsys, command, name):
+        # before, a 2**n that did not return or a numpy traceback, exit 1
+        tracemalloc.start()
+        try:
+            assert cli.main([arg.replace("{N}", name) for arg in command]) == cli.EXIT_ARGS
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # nothing the size of a state was allocated
+        assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "module, attr, command",
+        [
+            (gilbert, "run", ["run", "--state", "bell", "--halt-cs", "1"]),
+            (analysis, "build_witness", ["witness", "--state", "bell", "--css", "max_entangled_css:2"]),
+            (states, "named_state", ["state", "bell"]),
+        ],
+        ids=["run", "witness", "state"],
+    )
+    @pytest.mark.parametrize("message", ["Unable to allocate 1.49 GiB", ""])
+    def test_running_out_of_memory_exits_4_with_one_line(self, monkeypatch, capsys, module, attr, command, message):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(module, attr, exhausted)
+        assert cli.main(command) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"sepdist: out of memory{': ' + message if message else ''}\n"
+        assert captured.out == ""
 
     def test_constant_trial_count_is_a_validation_error(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"

@@ -10,17 +10,15 @@ from sepdist import (
     DimensionError,
     ValidationError,
     bell,
-    contract_party,
     css_max_entangled,
     hs_inner,
     hsd_sq,
     is_ppt,
     maximally_mixed,
     partial_transpose,
-    pure_density,
     upb_tiles_state,
 )
-from sepdist.linalg import PSD_TOL
+from sepdist.linalg import PSD_TOL, contract_party
 from conftest import random_density, random_hermitian, random_unitary, rng_for
 
 I2 = np.eye(2, dtype=complex)
@@ -264,9 +262,3 @@ class TestDensityMatrix:
     def test_tiny_dims_rejected(self):
         with pytest.raises(DimensionError):
             DensityMatrix((1, 4), np.eye(4, dtype=complex) / 4)
-
-    def test_pure_density(self):
-        v = np.array([1, 0, 0, 0], dtype=complex)
-        rho = pure_density(v, (2, 2))
-        assert rho.mat[0, 0] == 1.0
-        assert np.trace(rho.mat) == 1.0

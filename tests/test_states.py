@@ -19,6 +19,7 @@ from sepdist import (
     named_state,
     partial_transpose,
     real_limit_bell,
+    states,
     upb_tiles_state,
     upb_tiles_vectors,
 )
@@ -197,6 +198,11 @@ class TestCssMaxEntangled:
     def test_two_qubit_css_is_werner(self):
         assert np.array_equal(css_max_entangled(2).mat, WERNER)
 
+    @pytest.mark.parametrize("d", [1, 0, -1])
+    def test_small_d_rejected(self, d):
+        with pytest.raises(ParameterError, match=f"local dimension must be >= 2, got {d}"):
+            css_max_entangled(d)
+
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_distance_closed_form(self, d):
         assert hsd_sq(max_entangled(d), css_max_entangled(d)) == pytest.approx((d - 1) / (d + 1), abs=1e-12)
@@ -298,3 +304,21 @@ class TestNamedStates:
     def test_bad_parameter(self):
         with pytest.raises(ParameterError):
             named_state("ghz:three")
+
+    @pytest.mark.parametrize(
+        "name",
+        ["ghz:30", "ghz_css:30", "ghz:99999999999999999999", "max_entangled:27555", "max_entangled_css:27555"],
+    )
+    def test_matrix_numpy_cannot_index_is_refused_before_building(self, name, monkeypatch):
+        head = name.partition(":")[0]
+        _, size = states._PARAMETRIC_NAMES[head]
+        monkeypatch.setitem(states._PARAMETRIC_NAMES, head, (lambda value: pytest.fail(f"built {name}"), size))
+        with pytest.raises(ParameterError, match="too large"):
+            named_state(name)
+
+    @pytest.mark.parametrize("name", ["ghz:29", "ghz_css:29", "max_entangled:27554", "max_entangled_css:27554"])
+    def test_largest_indexable_matrix_is_built(self, name, monkeypatch):
+        head, _, arg = name.partition(":")
+        _, size = states._PARAMETRIC_NAMES[head]
+        monkeypatch.setitem(states._PARAMETRIC_NAMES, head, (lambda value: value, size))
+        assert named_state(name) == int(arg)

@@ -22,16 +22,40 @@ from sepdist import (
     bell,
     css_max_entangled,
     party_permutation,
-    pure_density,
     twirl,
     twirl_pure,
 )
-from conftest import random_product_density, random_unitary, rng_for
+from conftest import projector, random_product_density, random_unitary, reference_twirl_pure, rng_for
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+PHASE = np.diag([1, 1j])
+OMEGA = np.exp(2j * np.pi / 3)
+FOURIER3 = np.array([[OMEGA ** (i * j) for j in range(3)] for i in range(3)]) / np.sqrt(3)
+PHASE3 = np.diag([1, 1, OMEGA])
+
+
+def ghz3_group():
+    """Order 12: the party permutations of three qubits times the global bit flip."""
+    dims = (2, 2, 2)
+    gens = [party_permutation((1, 0, 2), dims), party_permutation((1, 2, 0), dims), local_unitary([SX, SX, SX])]
+    return closure(gens, dims)
+
+
+def isotropic_group(local_gens):
+    """The U (x) conj(U) twirl generated by the given local unitaries: order 24 on qubits, 216 on qutrits."""
+    d = local_gens[0].shape[0]
+    return closure([local_unitary([g, g.conj()]) for g in local_gens], (d, d))
+
+
+GROUPS = {
+    "ghz3": (ghz3_group, 12),
+    "isotropic2": (lambda: isotropic_group([HADAMARD, PHASE]), 24),
+    "isotropic3": (lambda: isotropic_group([FOURIER3, PHASE3]), 216),
+}
 
 
 def kron_all(vecs):
@@ -84,6 +108,22 @@ class TestClosure:
         group = closure([swap, swap @ local_unitary([sign * I2, I2])], (2, 2))
         assert group.order == 2
         assert np.array_equal(group.elements[1], swap.matrix())
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_elements_are_the_typed_elements_matrices(self, name, monkeypatch):
+        made, matrix = [], PermutedLocal.matrix
+
+        def recorded(element):
+            made.append(matrix(element))
+            return made[-1]
+
+        monkeypatch.setattr(PermutedLocal, "matrix", recorded)
+        build, order = GROUPS[name]
+        group = build()
+        total = int(np.prod(group.dims))
+        assert group.elements.shape == (order, total, total) and group.elements.dtype == complex
+        assert len(made) == order
+        assert all(stored.tobytes() == typed.tobytes() for stored, typed in zip(group.elements, made))
 
     def test_cap_exceeded(self):
         with pytest.raises(CapacityError):
@@ -189,14 +229,14 @@ class TestTwirl:
 
     def test_idempotent(self):
         group = closure([party_permutation((1, 0), (2, 2))], (2, 2))
-        rho = pure_density(ket(0, 1), (2, 2))
+        rho = projector(ket(0, 1), (2, 2))
         once = twirl(rho, group)
         twice = twirl(once, group)
         assert hsd_sq(once, twice) <= 1e-24
 
     def test_swap_average(self):
         group = closure([party_permutation((1, 0), (2, 2))], (2, 2))
-        rho = pure_density(ket(0, 1), (2, 2))
+        rho = projector(ket(0, 1), (2, 2))
         expected = (np.outer(ket(0, 1), ket(0, 1)) + np.outer(ket(1, 0), ket(1, 0))) / 2
         assert np.allclose(twirl(rho, group).mat, expected, atol=1e-14)
 
@@ -228,13 +268,20 @@ class TestTwirl:
         group = closure([local_unitary([SX, SX]), local_unitary([SZ, SZ])], (2, 2))
         sampler = StateSampler(SamplerConfig(seed=8))
         v = sampler.product_kets((2, 2), 1)[0]
-        via_matrix = twirl(pure_density(v, (2, 2)), group).mat
+        via_matrix = twirl(projector(v, (2, 2)), group).mat
         assert np.allclose(twirl_pure(v, group), via_matrix, atol=1e-13)
 
     def test_dims_mismatch(self):
         group = closure([], (2, 2))
         with pytest.raises(DimensionError):
-            twirl(pure_density(ket(0, 0, dims=(3, 3)), (3, 3)), group)
+            twirl(projector(ket(0, 0, dims=(3, 3)), (3, 3)), group)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_twirl_pure_matches_the_orbit_loop_bit_for_bit(self, name):
+        group = GROUPS[name][0]()
+        kets = StateSampler(SamplerConfig(seed=14)).product_kets(group.dims, 200)
+        for v in kets:
+            assert twirl_pure(v, group).tobytes() == reference_twirl_pure(v, group).tobytes()
 
     def test_contraction_toward_invariant_target(self):
         # averaging over a symmetry of the target cannot move rho away
@@ -259,8 +306,13 @@ class TestInvarianceCheck:
 
     def test_asymmetric_state(self):
         group = closure([party_permutation((1, 0), (2, 2))], (2, 2))
-        rho = pure_density(ket(0, 1), (2, 2))
+        rho = projector(ket(0, 1), (2, 2))
         assert invariance_check(rho, group) == pytest.approx(2.0, abs=1e-12)
+
+    def test_dims_mismatch(self):
+        group = closure([], (2, 2))
+        with pytest.raises(DimensionError):
+            invariance_check(projector(ket(0, 0, dims=(3, 3)), (3, 3)), group)
 
 
 class TestPreselectionInvariance:
