@@ -46,7 +46,7 @@ def correlation(x: Sequence[float], y: Sequence[float]) -> float:
         raise ParameterError("need at least two points")
     xc, xn = _centred(x)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        r = float(_corr_with(xc, xn, y[None, :])[0])
+        r = float(_corr_with(xc, xn, y[None, :].copy())[0])  # y may be the caller's array
     if not isfinite(r):
         raise DegenerateError("zero variance; correlation is undefined")
     return r
@@ -97,10 +97,12 @@ def _corr_with(xc: np.ndarray, xn: float, rows: np.ndarray) -> np.ndarray:
     Centres each row before it multiplies, so large offsets do not cancel.
     Clamps at 1, which rounding can exceed on rows that fit x exactly.
     Gives -inf where a row has zero variance or non-finite entries; the
-    caller sets ``np.errstate`` for the warnings those raise.
+    caller sets ``np.errstate`` for the warnings those raise.  Overwrites
+    ``rows``, so a zoom level needs no temporary of its size.
     """
-    rc = rows - (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
-    r = (rc @ xc) / (np.sqrt(np.add.reduce(rc * rc, axis=1)) * xn)
+    rows -= (np.add.reduce(rows, axis=1) / rows.shape[1])[:, None]
+    dots = rows @ xc
+    r = dots / (np.sqrt(np.add.reduce(np.square(rows, out=rows), axis=1)) * xn)
     return np.where(np.isfinite(r), np.minimum(r, 1.0), -np.inf)
 
 

@@ -168,12 +168,14 @@ def run(
     given the initial iterate is twirled once up front and every preselected
     trial is twirled; the twirl leaves the trial's overlaps with the
     (invariant) target and iterate unchanged, so the preselection of its
-    ket stands.  Trial ``t`` is ket ``t`` of the sampler's stream,
-    so a seeded run is deterministic and its trace does not depend on how
-    the loop chunks the stream (``CHUNK``, ``MIN_WINDOW``).  The cached
-    inner products are recomputed exactly every ``REFRESH_EVERY``
-    acceptances, and the returned ``d2`` is the exact squared distance of
-    the returned iterate.
+    ket stands.  An accepted trial moves the iterate to the point of their
+    segment nearest the target, which may be the trial itself (Gilbert's
+    clamp, :meth:`_Engine.try_accept`).  Trial ``t`` is ket ``t`` of the
+    sampler's stream, so a seeded run is deterministic and its trace does
+    not depend on how the loop chunks the stream (``CHUNK``,
+    ``MIN_WINDOW``).  The cached inner products are recomputed exactly
+    every ``REFRESH_EVERY`` acceptances, and the returned ``d2`` is the
+    exact squared distance of the returned iterate.
 
     Without ``max_trials`` or ``stall_trials`` a run on a (nearly)
     separable target may never end: no trial is accepted, so neither the
@@ -228,9 +230,12 @@ class _Engine:
         overlaps with the target and the iterate.  Under a group the twirled
         trial takes its place with the same ``q0``/``q1``: the target and the
         iterate are group-invariant, so the twirl changes only the trial's
-        own norm ``s2``.  The unclamped minimizer must lie in [0, 1] and the
-        new distance must be a strict float improvement.  Returns the
-        rejection reason, or ``None`` on acceptance.
+        own norm ``s2``.  The step minimizes d2 over the segment from the
+        iterate to the trial (Gilbert, SIAM J. Control 4, 61 (1966)): a weight
+        ``w > 1`` is a rejection, and ``w < 0`` is clamped to 0, so the
+        separable trial itself becomes the iterate and d2 stays an upper
+        bound.  The new distance must be a strict float improvement.  Returns
+        the rejection reason, or ``None`` on acceptance.
         """
         if self.state.group is None:
             trial_mat, s2 = None, 1.0
@@ -244,9 +249,12 @@ class _Engine:
         if bb < DEGENERATE_TOL:
             return REJECT_DEGENERATE
         w = ab / bb
-        if not 0.0 <= w <= 1.0:
+        if not w <= 1.0:
             return REJECT_RANGE
-        new_d2 = aa - ab * ab / bb
+        if w < 0.0:
+            w, new_d2 = 0.0, aa
+        else:
+            new_d2 = aa - ab * ab / bb
         if not new_d2 < self.state.d2:
             return REJECT_DEGENERATE
         self.amat *= w

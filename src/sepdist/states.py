@@ -82,17 +82,6 @@ class StateSampler:
             return self._rng.standard_normal((count, d, 2)).view(complex)[..., 0]
         return self._rng.standard_normal((count, d)).astype(complex)
 
-    def _redraw_zero_rows(self, amps: np.ndarray, norms: np.ndarray) -> None:
-        """Redraw, in place, the rows of one party's ``amps`` whose norm is below 1e-150.
-
-        ``norms`` holds the rows' norms and is updated with the fresh rows'.
-        """
-        bad = norms < 1e-150
-        while np.any(bad):  # astronomically rare: every Gaussian deviate of the row is ~0
-            amps[bad] = self._raw_amplitudes(amps.shape[1], int(bad.sum()))
-            _row_norms((amps.conj() * amps).real, norms)
-            bad = norms < 1e-150
-
     def product_kets(self, dims, count: int) -> np.ndarray:
         """``count`` product-state vectors on the given parties, one per row.
 
@@ -100,8 +89,9 @@ class StateSampler:
         amplitudes, each row holding one ket's party amplitudes side by
         side.  Ket ``i`` therefore depends only on its position in the
         stream: ``product_kets(dims, n)`` equals ``product_kets(dims, k)``
-        stacked on ``product_kets(dims, n - k)`` from a same-seed sampler,
-        unless a near-zero party block had to be redrawn.
+        stacked on ``product_kets(dims, n - k)`` from a same-seed sampler.
+        A party block of exact zero deviates (about 2**-208 per qubit ket)
+        gives a NaN ket, which the run loop's preselection never passes.
 
         Each party block is scaled to unit norm and the blocks are joined by
         Kronecker products.  The stream's bits depend on these numpy
@@ -124,8 +114,6 @@ class StateSampler:
         norms = np.empty((len(dims), count))
         for block, out in zip(blocks, norms):
             _row_norms(sq[:, block], out)
-        for party in np.flatnonzero((norms < 1e-150).any(axis=1)):  # party order: redraws keep the stream's order
-            self._redraw_zero_rows(amps[:, blocks[party]], norms[party])
         scales = 1.0 / norms
         kets = amps[:, blocks[0]] * scales[0][:, None]
         for block, scale in zip(blocks[1:], scales[1:]):

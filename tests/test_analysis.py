@@ -105,6 +105,13 @@ class TestCorrelation:
         with pytest.raises(ParameterError):
             correlation([1, 2, 3], [1, 2])
 
+    def test_arguments_are_left_unchanged(self):
+        # Float arrays pass through np.asarray uncopied, and the scoring works in place.
+        x, y = np.linspace(0.1, 1.7, 8), np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0])
+        before = x.copy(), y.copy()
+        correlation(x, y)
+        assert np.array_equal(x, before[0]) and np.array_equal(y, before[1])
+
     @pytest.mark.parametrize(
         "x",
         [1e8 + np.arange(10.0), 1e4 + 1e-3 * np.arange(10.0)],

@@ -34,6 +34,8 @@ from conftest import line_search, preselect, random_density, rng_for
 BELL = bell()
 MAXMIX = maximally_mixed((2, 2))
 FLIP = np.array([[0, 1], [1, 0]], dtype=complex)
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+PHASE = np.diag([1, 1j])
 
 
 def ket00():
@@ -190,7 +192,9 @@ class TestEngineAgainstReferences:
     Trial t is ket t of the seeded stream, so redrawing the stream in one
     call gives every trial the run tested.  Each accepted trial, mixed into
     the previous iterate with the reference weight, must give the next
-    iterate; every trial in between must fail a reference check.
+    iterate; every trial in between must fail a reference check.  The
+    reference weight is clamped to [0, 1]: at 0 the trial itself is the next
+    iterate (Gilbert's clamp), and at 1 the iterate does not move.
     """
 
     @pytest.mark.parametrize(
@@ -217,9 +221,9 @@ class TestEngineAgainstReferences:
                 value = preselect(target, prev.approx, trial)
                 w, d2 = line_search(target, prev.approx, trial)
                 if t < trials[k]:
-                    assert value <= 0.0 or w in (0.0, 1.0) or not d2 < prev.d2
+                    assert value <= 0.0 or w == 1.0 or not d2 < prev.d2
                     continue
-                assert value > 0.0 and 0.0 < w < 1.0 and d2 < prev.d2
+                assert value > 0.0 and 0.0 <= w < 1.0 and d2 < prev.d2
                 mixed = w * prev.approx.mat + (1.0 - w) * trial
                 assert np.abs(mixed - step.approx.mat).max() <= 1e-12
                 assert abs(d2 - step.d2) <= 1e-12
@@ -254,6 +258,42 @@ class TestTryAccept:
         assert np.array_equal(engine.amat, before[0])
         assert (engine.mu01, engine.mu11) == before[1:]
         assert (engine.state.d2, engine.state.successes, engine.state.trace) == (0.6, 0, [])
+
+
+class TestGilbertClamp:
+    """Isotropic two-qubit states ``p Φ + (1 - p) I/4`` under the order-24 U (x) conj(U) twirl.
+
+    Every twirled trial is isotropic, so the target, the iterate and the
+    trial lie on one line.  The separable ones are those with ``p <= 1/3``,
+    so the squared distance of ``p = 0.8`` is ``(0.8 - 1/3)**2 * 3/4``, and
+    an improving trial lies between the iterate and the target.  The
+    segment's nearest point is then the trial itself (``w < 0``, clamped
+    to 0), and without the clamp no trial is accepted.
+    """
+
+    P = 0.8
+    LIMIT = (P - 1 / 3) ** 2 * (1 - 1 / 4)
+
+    def setup_method(self):
+        self.target = DensityMatrix((2, 2), self.P * BELL.mat + (1 - self.P) * MAXMIX.mat)
+        self.group = closure([local_unitary([g, g.conj()]) for g in (HADAMARD, PHASE)], (2, 2))
+
+    def test_the_trial_itself_replaces_the_iterate(self):
+        # |00> twirls to the isotropic state of fidelity 1/2, p = 1/3: the closest separable state.
+        engine = gilbert._Engine(RunState.initial(self.target, group=self.group))
+        ket = np.eye(4, dtype=complex)[0]
+        q0, q1 = float(self.target.mat[0, 0].real), float(engine.amat[0, 0].real)
+        assert engine.try_accept(ket, q0, q1) is None
+        assert np.array_equal(engine.amat, twirl_pure(ket, self.group))
+        assert engine.state.successes == 1
+        assert engine.state.d2 == pytest.approx(self.LIMIT, abs=1e-15)
+
+    def test_twirled_run_reaches_its_limit_from_above(self):
+        halt = HaltCriteria(target_d2=self.LIMIT + 1e-4, max_trials=10**5)
+        result = run(self.target, halt, group=self.group, config=SamplerConfig(seed=1))
+        assert self.LIMIT <= result.state.d2 <= self.LIMIT + 1e-4
+        assert result.state.trials < 10**5
+        assert all(rec.d2 >= self.LIMIT for rec in result.state.trace)
 
 
 class TestRun:
@@ -460,5 +500,5 @@ class TestPinnedTrajectories:
 
     def test_ghz3_under_group(self):
         result = run(ghz(3), HaltCriteria(max_successes=200), group=ghz3_group(), config=SamplerConfig(seed=1))
-        assert result.trace[-1] == (233247, 200, 0.47213999653464844)
-        assert (result.state.trials, result.state.successes) == (233247, 200)
+        assert result.trace[-1] == (239574, 200, 0.47213941606342213)
+        assert (result.state.trials, result.state.successes) == (239574, 200)

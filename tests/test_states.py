@@ -31,41 +31,15 @@ REAL_LIMIT = np.array([[3, 0, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 0, 3]], 
 GAUSSIAN_IDS = ["gaussian-complex", "gaussian-real"]
 
 
-class _ZeroSecondPartyOfFirstKet:
-    """Generator stand-in whose first draw zeroes the second party of ket 0.
-
-    Zero Gaussian deviates give exactly zero amplitudes, so that party's
-    norm is zero.
-    """
-
-    def __init__(self, rng, first_party, second_party):
-        self.rng = rng
-        self.columns = slice(first_party, first_party + second_party)
-        self.sizes = []
-
-    def standard_normal(self, size):
-        out = self.rng.standard_normal(size)
-        if not self.sizes:
-            out[0, self.columns] = 0.0
-        self.sizes.append(size)
-        return out
-
-
 def _per_party_product_kets(sampler, dims, count):
     """Reference sampler: each party block scaled to unit norm on its own, then joined by ``einsum``.
 
     Its norm is ``np.linalg.norm``'s arithmetic, ``add.reduce`` of the
-    block's squared moduli, and a row of near-zero norm is redrawn from the
-    sampler's stream before the next party is touched.
+    block's squared moduli.
     """
 
     def unit_rows(amps):
         norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1))
-        bad = norms < 1e-150
-        while np.any(bad):
-            amps[bad] = sampler._raw_amplitudes(amps.shape[1], int(bad.sum()))
-            norms = np.sqrt(np.add.reduce((amps.conj() * amps).real, axis=1))
-            bad = norms < 1e-150
         return amps / norms[:, None]
 
     amps = sampler._raw_amplitudes(sum(dims), count)
@@ -81,7 +55,6 @@ class TestSamplerMatchesPerPartyReference:
 
     The dims put parties of 8 and more amplitudes, whose norms numpy sums
     pairwise, next to short ones, whose norms it sums left to right.
-    ``TestSampler::test_zero_norm_party_is_redrawn`` compares a redraw too.
     """
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (3, 3), (2, 3, 2), (2, 8), (9, 2), (2, 2, 2, 2)])
@@ -146,17 +119,15 @@ class TestSampler:
         tail = split.product_kets(dims, 30 - k)
         assert np.array_equal(whole, np.vstack([head, tail]))
 
-    @pytest.mark.parametrize("mode", ["complex"], ids=["gaussian"])
-    def test_zero_norm_party_is_redrawn(self, mode, monkeypatch):
-        sampler, reference = StateSampler(SamplerConfig(mode=mode, seed=6)), StateSampler(SamplerConfig(mode=mode, seed=6))
-        zeroed = _ZeroSecondPartyOfFirstKet(sampler._rng, first_party=2, second_party=3)
-        monkeypatch.setattr(sampler, "_rng", zeroed)
-        monkeypatch.setattr(reference, "_rng", _ZeroSecondPartyOfFirstKet(reference._rng, first_party=2, second_party=3))
-        kets = sampler.product_kets((2, 3), 4)
-        assert zeroed.sizes == [(4, 5, 2), (1, 3, 2)]  # the block, then one redraw
-        assert np.isfinite(kets).all()
-        assert np.abs(np.linalg.norm(kets, axis=1) - 1.0).max() <= 1e-12
-        assert np.array_equal(kets, _per_party_product_kets(reference, (2, 3), 4))
+    @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (2, 8), (2, 2, 2)])
+    @pytest.mark.parametrize("mode", ["complex", "real"], ids=GAUSSIAN_IDS)
+    @pytest.mark.parametrize("count", [1, 7, 2048])
+    def test_product_kets_draw_one_block(self, dims, mode, count):
+        # The call consumes exactly one block of deviates, so the next ket starts where this one ended.
+        sampler, generator = StateSampler(SamplerConfig(mode=mode, seed=8)), np.random.default_rng(8)
+        sampler.product_kets(dims, count)
+        generator.standard_normal((count, sum(dims), 2) if mode == "complex" else (count, sum(dims)))
+        assert sampler._rng.bit_generator.state == generator.bit_generator.state
 
     def test_bad_dimension(self):
         with pytest.raises(ParameterError):
