@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -32,7 +33,6 @@ from .states import SamplerConfig, StateSampler
 from .symmetry import INVARIANCE_TOL, SymmetryGroup, invariance_check, twirl, twirl_pure
 
 DEGENERATE_TOL = 1e-14
-REFRESH_EVERY = 1024  # acceptances between exact recomputations of the cached inner products
 
 REJECT_RANGE = "p-out-of-range"
 REJECT_DEGENERATE = "degenerate"
@@ -62,8 +62,8 @@ class HaltCriteria:
             raise ParameterError("at least one halt criterion must be set")
         for name in ("max_successes", "max_trials", "stall_trials"):
             v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ParameterError(f"{name} must be nonnegative, got {v}")
+            if v is not None and (isinstance(v, bool) or not isinstance(v, Integral) or v < 0):
+                raise ParameterError(f"{name} must be a nonnegative integer, got {v}")
         if self.target_d2 is not None and not 0 <= self.target_d2 < math.inf:
             raise ParameterError(f"target_d2 must be nonnegative and finite, got {self.target_d2}")
 
@@ -173,9 +173,9 @@ def run(
     clamp, :meth:`_Engine.try_accept`).  Trial ``t`` is ket ``t`` of the
     sampler's stream, so a seeded run is deterministic and its trace does
     not depend on how the loop chunks the stream (``CHUNK``,
-    ``MIN_WINDOW``).  The cached inner products are recomputed exactly
-    every ``REFRESH_EVERY`` acceptances, and the returned ``d2`` is the
-    exact squared distance of the returned iterate.
+    ``MIN_WINDOW``).  The iterate's inner products are read from it after
+    every acceptance, and the returned ``d2`` is the exact squared distance
+    of the returned iterate.
 
     Without ``max_trials`` or ``stall_trials`` a run on a (nearly)
     separable target may never end: no trial is accepted, so neither the
@@ -206,22 +206,18 @@ def _quad_forms(mat: np.ndarray, kets: np.ndarray, bras: np.ndarray) -> np.ndarr
 
 
 class _Engine:
-    """Cached inner products and the acceptance and update arithmetic."""
+    """The iterate, its inner products with the target and itself, and the acceptance arithmetic."""
 
     def __init__(self, state: RunState):
         self.state = state
         self.tmat = np.ascontiguousarray(state.target.mat)
         self.amat = np.array(state.approx.mat, copy=True)
         self.mu00 = float(np.vdot(self.tmat, self.tmat).real)
-        self.refresh()
+        self.sync()
 
-    def refresh(self) -> None:
-        self.amat = hermitize(self.amat)
+    def sync(self) -> None:
         self.mu01 = float(np.vdot(self.tmat, self.amat).real)
         self.mu11 = float(np.vdot(self.amat, self.amat).real)
-        exact = self.mu00 - 2.0 * self.mu01 + self.mu11
-        # Keep the logged distances monotone: drift corrections may not move d2 up.
-        self.state.d2 = min(self.state.d2, exact) if self.state.trace else exact
 
     def try_accept(self, ket: np.ndarray, q0: float, q1: float) -> Optional[str]:
         """Decide one counted trial; on acceptance mix it into the iterate.
@@ -238,7 +234,7 @@ class _Engine:
         the rejection reason, or ``None`` on acceptance.
         """
         if self.state.group is None:
-            trial_mat, s2 = None, 1.0
+            trial_mat, s2 = np.outer(ket, ket.conj()), 1.0
         else:
             trial_mat = twirl_pure(ket, self.state.group)
             s2 = float(np.vdot(trial_mat, trial_mat).real)
@@ -257,17 +253,10 @@ class _Engine:
             new_d2 = aa - ab * ab / bb
         if not new_d2 < self.state.d2:
             return REJECT_DEGENERATE
-        self.amat *= w
-        if trial_mat is None:
-            self.amat += (1.0 - w) * np.outer(ket, ket.conj())
-        else:
-            self.amat += (1.0 - w) * trial_mat
-        self.mu01 = w * self.mu01 + (1.0 - w) * q0
-        self.mu11 = w * w * self.mu11 + 2.0 * w * (1.0 - w) * q1 + (1.0 - w) ** 2 * s2
+        self.amat = w * self.amat + (1.0 - w) * trial_mat
+        self.sync()
         self.state.d2 = new_d2
         self.state.successes += 1
-        if self.state.successes % REFRESH_EVERY == 0:
-            self.refresh()
         self.state.trace.append(TraceRecord(self.state.trials, self.state.successes, self.state.d2))
         return None
 

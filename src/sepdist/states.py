@@ -11,6 +11,7 @@ state it converges to the wrong limit, which is exactly what the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -30,8 +31,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.seed < 0:
-            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
+            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def _check_request(dims: tuple[int, ...], count: int) -> None:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,15 @@ class TestHaltCriteria:
     def test_negative_rejected(self):
         with pytest.raises(ParameterError):
             HaltCriteria(max_trials=-1)
+
+    @pytest.mark.parametrize("name", ["max_successes", "max_trials", "stall_trials"])
+    @pytest.mark.parametrize("value", [-1, 1000.5, True])
+    def test_counter_must_be_a_nonnegative_integer(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            HaltCriteria(**{name: value})
+
+    def test_numpy_integer_counter_accepted(self):
+        assert HaltCriteria(max_trials=np.int64(5)).max_trials == 5
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_target_d2_rejected(self, value):
@@ -249,8 +260,8 @@ class TestTryAccept:
         assert engine.state.successes == 1
 
     def test_strict_decrease_guard(self):
-        # The tracked d2 sits below the quadratic's value (as after a refresh
-        # that corrected drift downward): the trial must not raise d2.
+        # d2 is set below the quadratic's value: the guard rejects any step
+        # that does not lower d2 as a float, so the trial must not raise it.
         engine = self.engine()
         engine.state.d2 = 0.6
         before = (engine.amat.copy(), engine.mu01, engine.mu11)
@@ -258,6 +269,37 @@ class TestTryAccept:
         assert np.array_equal(engine.amat, before[0])
         assert (engine.mu01, engine.mu11) == before[1:]
         assert (engine.state.d2, engine.state.successes, engine.state.trace) == (0.6, 0, [])
+
+
+class TestOneSource:
+    """The iterate's inner products are read from the iterate after every acceptance."""
+
+    @pytest.mark.parametrize(
+        "target,successes,group", [(BELL, 2000, None), (ghz(3), 200, "ghz3")], ids=["bell", "ghz3-sym"]
+    )
+    def test_inner_products_are_the_iterates(self, target, successes, group, monkeypatch):
+        group = ghz3_group() if group == "ghz3" else None
+        try_accept, checked = gilbert._Engine.try_accept, []
+
+        def checking(engine, *args):
+            reason = try_accept(engine, *args)
+            if reason is None:
+                amat = engine.amat
+                assert engine.mu01 == float(np.vdot(engine.tmat, amat).real)
+                assert engine.mu11 == float(np.vdot(amat, amat).real)
+                assert np.abs(amat - amat.conj().T).max() <= 1e-15
+                checked.append(engine.state.successes)
+            return reason
+
+        monkeypatch.setattr(gilbert._Engine, "try_accept", checking)
+        run(target, HaltCriteria(max_successes=successes), group=group, config=SamplerConfig(seed=1))
+        assert checked == list(range(1, successes + 1))
+
+    @pytest.mark.parametrize("seed,successes", [(2, 2000), (3, 5000)])
+    def test_last_logged_d2_is_within_rounding_of_the_returned_one(self, seed, successes):
+        # The logged d2 is the line search's value, the returned one the iterate's exact distance.
+        result = run(BELL, HaltCriteria(max_successes=successes), config=SamplerConfig(seed=seed))
+        assert abs(result.trace[-1].d2 - result.state.d2) <= 8 * math.ulp(result.state.d2)
 
 
 class TestGilbertClamp:
@@ -490,15 +532,15 @@ class TestPinnedTrajectories:
 
     def test_bell_success_halt(self):
         result = run(BELL, HaltCriteria(max_successes=800), config=SamplerConfig(seed=3))
-        assert result.trace[-1] == (52931, 800, 0.33828649372199304)
+        assert result.trace[-1] == (52931, 800, 0.3382864937219926)
         assert (result.state.trials, result.state.successes) == (52931, 800)
 
     def test_bell_trial_and_stall_halt(self):
         result = run(BELL, HaltCriteria(max_trials=4097, stall_trials=300), config=SamplerConfig(seed=3))
-        assert result.trace[-1] == (3932, 194, 0.35178627359118575)
+        assert result.trace[-1] == (3932, 194, 0.3517862735911853)
         assert (result.state.trials, result.state.successes) == (4097, 194)
 
     def test_ghz3_under_group(self):
         result = run(ghz(3), HaltCriteria(max_successes=200), group=ghz3_group(), config=SamplerConfig(seed=1))
-        assert result.trace[-1] == (239574, 200, 0.47213941606342213)
+        assert result.trace[-1] == (239574, 200, 0.47213941606342225)
         assert (result.state.trials, result.state.successes) == (239574, 200)

@@ -141,6 +141,11 @@ class TestSampler:
         with pytest.raises(ParameterError):
             SamplerConfig(seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integral_seed(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            SamplerConfig(seed=seed)
+
 
 class TestMaxEntangled:
     def test_two_qubit_matrix(self):
