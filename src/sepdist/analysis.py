@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite, log, prod, sqrt
-from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,10 +22,11 @@ import numpy as np
 from .errors import DegenerateError, DimensionError, ParameterError
 from .gilbert import TRACE_DTYPE, TraceRecord
 # contract_party stays importable from here: the benchmark's traced run patches analysis.contract_party.
-from .linalg import DensityMatrix, as_matrix, contract_party, hermitize, hs_inner, require_hermitian  # noqa: F401
+from .linalg import DensityMatrix, as_matrix, contract_party, hermitize, hs_inner, int_arg, party_dims, require_hermitian  # noqa: F401
 
 DEFAULT_STRIDE = 100
 DEFAULT_RESTARTS = 64
+DEFAULT_B_RANGE = (1.0, 20.0)  # fit_extrapolation's exponent search range
 # Zoom of the extrapolation fit: a window of ZOOM_POINTS x ZOOM_POINTS
 # points in (b, ln gap), scored at once.
 ZOOM_POINTS = 9
@@ -110,7 +110,7 @@ def fit_extrapolation(
     trace: Sequence[TraceRecord],
     stride: int = DEFAULT_STRIDE,
     *,
-    b_range: tuple[float, float] = (1.0, 20.0),
+    b_range: tuple[float, float] = DEFAULT_B_RANGE,
 ) -> ExtrapolationFit:
     """Estimate the distance limit by correlation maximization.
 
@@ -136,8 +136,7 @@ def fit_extrapolation(
     b_lo, b_hi = (float(v) for v in b_range)
     if not 0.0 < b_lo <= b_hi < inf:
         raise ParameterError(f"b_range must satisfy 0 < b_min <= b_max < inf, got {b_range}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
+    stride = int_arg("stride", stride, 1)
     _, successes, d2 = _columns(trace)
     picked = successes % stride == 0
     x = successes[picked].astype(float)
@@ -285,9 +284,7 @@ def max_sep_overlap(
     Party blocks are prepared once per call (:func:`_party_blocks`), so each party step of a
     sweep (:func:`_sweep`) is one BLAS product and one stacked ``eigh``, the floor left.
     """
-    if isinstance(restarts, bool) or not isinstance(restarts, Integral) or restarts < 1:
-        raise ParameterError(f"restarts must be >= 1 and integral, got {restarts}")
-    dims = tuple(int(d) for d in dims)
+    restarts, dims = int_arg("restarts", restarts, 1), party_dims(dims)
     if len(dims) < 2:
         raise DimensionError("need at least two parties")
     m = as_matrix(op)

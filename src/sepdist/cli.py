@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, analysis, fileio, gilbert, states, symmetry
 from .errors import FileFormatError, ParameterError, SepdistError
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, int_arg
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -148,8 +148,8 @@ def _check_writable(path, step: str) -> None:
 
 
 def cmd_run(args) -> int:
-    if args.sym_cap < 1:  # also without --sym: meta.json records it
-        raise CliError(EXIT_ARGS, f"--sym-cap must be >= 1, got {args.sym_cap}")
+    with _failures("bad group cap", raw=True):  # also without --sym: meta.json records it
+        int_arg("--sym-cap", args.sym_cap, 1)
     target = _load_density(args.state)
     if args.dims is not None and _parse_dims(args.dims) != target.dims:
         raise CliError(EXIT_VALIDATION, f"--dims {args.dims} does not match state dims {target.dims}")
@@ -218,8 +218,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    if args.seed < 0:
-        raise CliError(EXIT_ARGS, f"--seed must be nonnegative, got {args.seed}")
+    with _failures("bad seed", raw=True):
+        int_arg("--seed", args.seed, 0)
     target = _load_density(args.state)
     approx = _load_density(args.css)
     rng = np.random.default_rng(args.seed)
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         "local:f1,f2 (one unitary per party, each an operator state file); "
         "the group must leave the target invariant",
     )
-    runp.add_argument("--sym-cap", type=int, default=1024, help="max group order for closure")
+    runp.add_argument("--sym-cap", type=int, default=symmetry.DEFAULT_CAP, help="max group order for closure")
     runp.add_argument("--real-only", action="store_true", help="draw real-amplitude trial states")
     runp.add_argument("--trace", help="write the success trace CSV here")
     runp.add_argument("--meta", help="write run metadata JSON here")
@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     fitp = sub.add_parser("fit", help="extrapolate a trace file")
     fitp.add_argument("trace", help="trace CSV path")
     fitp.add_argument("--stride", type=int, default=analysis.DEFAULT_STRIDE)
-    fitp.add_argument("--b-min", type=float, default=1.0, help="lower end of the exponent search range (0 < b_min <= b_max)")
-    fitp.add_argument("--b-max", type=float, default=20.0, help="upper end of the exponent search range; equal to --b-min fixes the exponent")
+    fitp.add_argument("--b-min", type=float, default=analysis.DEFAULT_B_RANGE[0], help="lower end of the exponent search range (0 < b_min <= b_max)")
+    fitp.add_argument("--b-max", type=float, default=analysis.DEFAULT_B_RANGE[1], help="upper end of the exponent search range; equal to --b-min fixes the exponent")
     fitp.add_argument("--out", help="write the report here instead of stdout")
     fitp.set_defaults(func=cmd_fit, outputs={"out": "cannot write"})
 

@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field
-from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionError, ParameterError, ValidationError
-from .linalg import DensityMatrix, hermitize, hsd_sq, is_ppt, maximally_mixed
+from .linalg import DensityMatrix, hermitize, hsd_sq, int_arg, is_ppt, maximally_mixed
 from .states import SamplerConfig, StateSampler
 from .symmetry import INVARIANCE_TOL, SymmetryGroup, invariance_check, twirl, twirl_pure
 
@@ -61,9 +60,8 @@ class HaltCriteria:
         if all(v is None for v in values):
             raise ParameterError("at least one halt criterion must be set")
         for name in ("max_successes", "max_trials", "stall_trials"):
-            v = getattr(self, name)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, Integral) or v < 0):
-                raise ParameterError(f"{name} must be a nonnegative integer, got {v}")
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, int_arg(name, getattr(self, name), 0))
         if self.target_d2 is not None and not 0 <= self.target_d2 < math.inf:
             raise ParameterError(f"target_d2 must be nonnegative and finite, got {self.target_d2}")
 

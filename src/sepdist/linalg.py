@@ -1,10 +1,11 @@
 """Dense complex Hermitian matrix kernel.
 
-Inner products, squared Hilbert-Schmidt distances, single-party
-contractions and partial transposes.  Everything operates on plain
-complex ``numpy`` arrays; :class:`DensityMatrix` bundles a matrix with the
-ordered subsystem dimensions it lives on, and is the one place where a
-matrix is checked to be a valid state: every instance is one.
+Inner products, squared Hilbert-Schmidt distances, single-party contractions and
+partial transposes.  Everything operates on plain complex ``numpy`` arrays;
+:class:`DensityMatrix` bundles a matrix with the ordered subsystem dimensions it
+lives on, and is the one place where a matrix is checked to be a valid state:
+every instance is one.  :func:`party_dims` and :func:`int_arg` are every
+module's one check of a party list and of an integer argument.
 """
 
 from __future__ import annotations
@@ -12,14 +13,35 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, ParameterError, ValidationError
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
+
+
+def party_dims(dims) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints: a non-empty sequence of integers >= 2, else :class:`DimensionError`."""
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise DimensionError(f"subsystem dimensions must be a sequence, got {dims!r}") from None
+    if not dims or not all(isinstance(d, Integral) and not isinstance(d, bool) and d >= 2 for d in dims):
+        raise DimensionError(f"subsystem dimensions must all be >= 2 and integral, got {dims}")
+    return tuple(int(d) for d in dims)
+
+
+def int_arg(name: str, value, minimum: int) -> int:
+    """``value`` as an int: an integer (not a bool) >= ``minimum``, else :class:`ParameterError` naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be integral, got {value!r}")
+    if value < minimum:
+        raise ParameterError(f"{name} must be {'nonnegative' if minimum == 0 else f'>= {minimum}'}, got {value}")
+    return int(value)
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -65,9 +87,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if not dims or any(d < 2 for d in dims):
-            raise DimensionError(f"subsystem dimensions must all be >= 2, got {dims}")
+        dims = party_dims(self.dims)
         mat = np.asarray(self.mat, dtype=complex)
         total = prod(dims)
         if mat.shape != (total, total):
@@ -85,8 +105,9 @@ class DensityMatrix:
 
 def maximally_mixed(dims) -> DensityMatrix:
     """The white-noise state I/D on the given subsystem dimensions."""
-    total = prod(int(d) for d in dims)
-    return DensityMatrix(tuple(dims), np.eye(total, dtype=complex) / total)
+    dims = party_dims(dims)
+    total = prod(dims)
+    return DensityMatrix(dims, np.eye(total, dtype=complex) / total)
 
 
 def _inner_raw(a: np.ndarray, b: np.ndarray) -> float:
@@ -141,7 +162,7 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     ``conj(b) (x) b`` rows with the ``(d*d, (D/d)**2)`` reshape of the
     operator.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = party_dims(dims)
     n = len(dims)
     total = prod(dims)
     m = mat.mat if isinstance(mat, DensityMatrix) else np.asarray(mat, dtype=complex)
@@ -173,7 +194,7 @@ def partial_transpose(rho, party: int, dims=None) -> np.ndarray:
         dims = rho.dims
     elif dims is None:
         raise DimensionError("dims are required when the input is a bare matrix")
-    dims = tuple(int(d) for d in dims)
+    dims = party_dims(dims)
     n = len(dims)
     if not 0 <= party < n:
         raise DimensionError(f"party index {party} out of range for {n} parties")

@@ -11,12 +11,11 @@ state it converges to the wrong limit, which is exactly what the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, int_arg, party_dims
 
 MODES = ("complex", "real")
 
@@ -31,16 +30,7 @@ class SamplerConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, Integral) or self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed}")
-
-
-def _check_request(dims: tuple[int, ...], count: int) -> None:
-    for d in dims:
-        if d < 2:
-            raise ParameterError(f"state dimension must be >= 2, got {d}")
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
+        object.__setattr__(self, "seed", int_arg("seed", self.seed, 0))
 
 
 def _row_norms(sq: np.ndarray, out: np.ndarray) -> None:
@@ -106,8 +96,7 @@ class StateSampler:
         * ``np.einsum`` for each Kronecker step: it rounds each product
           separately, where a broadcast complex multiply may fuse them.
         """
-        dims = tuple(int(d) for d in dims)
-        _check_request(dims, count)
+        dims, count = party_dims(dims), int_arg("count", count, 1)
         amps = self._raw_amplitudes(sum(dims), count)
         stops = np.cumsum(dims)
         blocks = [slice(stop - d, stop) for d, stop in zip(dims, stops)]
@@ -132,8 +121,7 @@ class StateSampler:
 
 def max_entangled(d: int) -> DensityMatrix:
     """Projector onto (1/sqrt(d)) sum_i |i,i> on two d-dimensional parties."""
-    if d < 2:
-        raise ParameterError(f"local dimension must be >= 2, got {d}")
+    d = int_arg("local dimension", d, 2)
     mat = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -159,8 +147,7 @@ def bell() -> DensityMatrix:
 
 def ghz(n: int) -> DensityMatrix:
     """Projector onto (|0...0> + |1...1>)/sqrt(2) on n qubits."""
-    if n < 2:
-        raise ParameterError(f"party count must be >= 2, got {n}")
+    n = int_arg("party count", n, 2)
     total = 2**n
     mat = np.zeros((total, total), dtype=complex)
     for r in (0, total - 1):
@@ -171,8 +158,7 @@ def ghz(n: int) -> DensityMatrix:
 
 def ghz_css_weight(n: int) -> float:
     """Mixing weight of the corner-diagonal component in the GHZ closest separable state."""
-    if n < 2:
-        raise ParameterError(f"party count must be >= 2, got {n}")
+    n = int_arg("party count", n, 2)
     return (2**n - 2) ** 2 / (4 + 4**n - 2 ** (n + 1))
 
 
@@ -198,8 +184,7 @@ def css_ghz(n: int) -> DensityMatrix:
 
 def ghz_css_distance(n: int) -> float:
     """Closed-form squared distance between the n-qubit GHZ state and its CSS."""
-    if n < 2:
-        raise ParameterError(f"party count must be >= 2, got {n}")
+    n = int_arg("party count", n, 2)
     return (2**n - 2) / (-4 + 2 ** (3 - n) + 2 ** (n + 1))
 
 

@@ -18,12 +18,13 @@ from math import prod
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, ParameterError, ValidationError
-from .linalg import DensityMatrix, as_matrix, hermitize, hsd_sq
+from .errors import CapacityError, DimensionError, ValidationError
+from .linalg import DensityMatrix, as_matrix, hermitize, hsd_sq, int_arg, party_dims
 
 UNITARY_TOL = 1e-10
 DEDUP_TOL = 1e-9
 INVARIANCE_TOL = 1e-10
+DEFAULT_CAP = 1024  # closure's largest group order
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,22 +42,31 @@ class SymmetryGroup:
         return len(self.elements)
 
 
-def require_unitary(mat: np.ndarray, what: str = "matrix") -> None:
-    m = as_matrix(mat)
-    defect = float(np.linalg.norm(m @ m.conj().T - np.eye(m.shape[0])))
-    if defect > UNITARY_TOL:
-        raise ValidationError(f"{what} is not unitary (defect {defect:.3e} > {UNITARY_TOL:.0e})")
-
-
 @dataclass(frozen=True, eq=False)
 class PermutedLocal:
     """The unitary ``P_perm (F_0 (x) ... (x) F_{n-1})``; ``P_perm`` puts old party ``perm[k]`` in slot k.
 
-    ``a @ b`` composes two elements into a third of the same form.
+    ``a @ b`` composes two elements into a third of the same form.  Every instance is
+    valid: construction checks the permutation (it moves each party into a slot of its
+    own dimension, else :class:`DimensionError`) and each factor's unitarity
+    (else :class:`ValidationError`), and a product of two elements is one.
     """
 
     perm: tuple[int, ...]
     factors: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        factors = tuple(as_matrix(f) for f in self.factors)
+        dims = party_dims(f.shape[0] for f in factors)
+        perm = tuple(int_arg("permutation entry", p, 0) for p in self.perm)
+        if sorted(perm) != list(range(len(dims))) or any(dims[p] != d for p, d in zip(perm, dims)):
+            raise DimensionError(f"{perm} is not a permutation of 0..{len(dims) - 1} between parties of equal dimension {dims}")
+        for i, f in enumerate(factors):
+            defect = float(np.linalg.norm(f @ f.conj().T - np.eye(f.shape[0])))
+            if defect > UNITARY_TOL:
+                raise ValidationError(f"factor {i} is not unitary (defect {defect:.3e} > {UNITARY_TOL:.0e})")
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "factors", factors)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -70,8 +80,11 @@ class PermutedLocal:
         moved = [None] * len(self.factors)  # (F_0 (x) ...) P_b = P_b (G_0 (x) ...) with G_{b[k]} = F_k
         for k, p in enumerate(other.perm):
             moved[p] = self.factors[k]
-        perm = tuple(other.perm[p] for p in self.perm)
-        return PermutedLocal(perm, tuple(m @ f for m, f in zip(moved, other.factors)))
+        # Not checked: two elements make one, and rounding would fail factors near UNITARY_TOL.
+        product = object.__new__(PermutedLocal)
+        object.__setattr__(product, "perm", tuple(other.perm[p] for p in self.perm))
+        object.__setattr__(product, "factors", tuple(m @ f for m, f in zip(moved, other.factors)))
+        return product
 
     def matrix(self) -> np.ndarray:
         """The dense D x D unitary."""
@@ -85,10 +98,8 @@ class PermutedLocal:
 
 def local_unitary(factors) -> PermutedLocal:
     """Tensor product of one unitary per party."""
-    mats = tuple(as_matrix(f) for f in factors)
-    for i, m in enumerate(mats):
-        require_unitary(m, what=f"factor {i}")
-    return PermutedLocal(tuple(range(len(mats))), mats)
+    factors = tuple(factors)
+    return PermutedLocal(tuple(range(len(factors))), factors)
 
 
 def party_permutation(perm, dims) -> PermutedLocal:
@@ -96,15 +107,7 @@ def party_permutation(perm, dims) -> PermutedLocal:
 
     All permuted positions must carry equal dimensions.
     """
-    dims = tuple(int(d) for d in dims)
-    perm = tuple(int(p) for p in perm)
-    n = len(dims)
-    if sorted(perm) != list(range(n)):
-        raise DimensionError(f"{perm} is not a permutation of 0..{n - 1}")
-    for k, p in enumerate(perm):
-        if dims[p] != dims[k]:
-            raise DimensionError(f"permutation moves dimension {dims[p]} into a slot of dimension {dims[k]}")
-    return PermutedLocal(perm, tuple(np.eye(d, dtype=complex) for d in dims))
+    return PermutedLocal(perm, tuple(np.eye(d, dtype=complex) for d in party_dims(dims)))
 
 
 def _phase_duplicate(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bool:
@@ -116,32 +119,26 @@ def _phase_duplicate(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bo
     return bool(np.abs(a - c * b).max() <= tol)
 
 
-def closure(generators, dims, cap: int = 1024) -> SymmetryGroup:
+def closure(generators, dims, cap: int = DEFAULT_CAP) -> SymmetryGroup:
     """Multiplicative closure of the generators, identity included.
 
-    Every generator must be a :class:`PermutedLocal` with unitary factors
-    (else :class:`ValidationError`), so that the group preserves
-    separability; its permutation and factors must fit ``dims`` (else
-    :class:`DimensionError`).  Each element found is multiplied on the
-    right by each generator.  A product that matches an element with the
-    same permutation factor by factor, each factor up to its own phase, is
-    dropped, so every element (repeated generators included) appears once
-    up to a global phase, which the twirl channel ignores.  Raises
-    :class:`CapacityError` if the closure grows beyond ``cap`` elements, and
-    :class:`ParameterError` if ``cap`` is below 1 (no group fits).
+    Every generator must be a :class:`PermutedLocal` (else
+    :class:`ValidationError`), so that the group preserves separability,
+    and act on ``dims`` (else :class:`DimensionError`).  Each element found
+    is multiplied on the right by each generator.  A product that matches
+    an element with the same permutation factor by factor, each factor up
+    to its own phase, is dropped, so every element (repeated generators
+    included) appears once up to a global phase, which the twirl channel
+    ignores.  Raises :class:`CapacityError` if the closure grows beyond
+    ``cap`` elements, and :class:`ParameterError` unless ``cap`` is an
+    integer >= 1 (no group fits below 1).
     """
-    if cap < 1:
-        raise ParameterError(f"cap must be >= 1, got {cap}")
-    dims = tuple(int(d) for d in dims)
-    gens = []
-    for i, g in enumerate(generators):
+    cap, dims, gens = int_arg("cap", cap, 1), party_dims(dims), list(generators)
+    for i, g in enumerate(gens):
         if not isinstance(g, PermutedLocal):
             raise ValidationError(f"generator {i} is not a PermutedLocal, so it may not preserve separability")
         if g.dims != dims:
             raise DimensionError(f"generator {i} acts on dims {g.dims}, expected {dims}")
-        for k, f in enumerate(g.factors):
-            require_unitary(f, what=f"generator {i} factor {k}")
-        gens.append(PermutedLocal(party_permutation(g.perm, dims).perm, g.factors))  # a checked permutation
 
     found = [party_permutation(range(len(dims)), dims)]
     by_perm = {found[0].perm: [found[0]]}

@@ -373,6 +373,13 @@ class TestTableInput:
         with pytest.raises(ParameterError, match=f"stride must be >= 1, got {stride}"):
             fit_extrapolation(table, stride=stride)
 
+    @pytest.mark.parametrize("stride", [2.5, True])
+    def test_non_integral_stride_is_rejected(self, stride):
+        # 2.5 fitted every 5th success and reported stride=2.5; True fitted every success
+        table = fileio.read_trace(RECORDED_INPUTS / "bell_trace.csv")
+        with pytest.raises(ParameterError, match="stride must be integral"):
+            fit_extrapolation(table, stride)
+
 
 def _grid_scan(op_tensor, thetas, phis):
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
@@ -424,6 +431,11 @@ class TestMaxSepOverlap:
     def test_non_integral_restarts_rejected(self, restarts):
         with pytest.raises(ParameterError, match="integral"):
             max_sep_overlap(np.eye(4, dtype=complex), (2, 2), restarts=restarts)
+
+    def test_non_integral_dims_rejected(self):
+        # read as (2, 2) before
+        with pytest.raises(DimensionError, match="must all be >= 2"):
+            max_sep_overlap(np.eye(4, dtype=complex), (2.5, 2))
 
     def test_numpy_integer_restarts_accepted(self):
         assert max_sep_overlap(np.eye(4, dtype=complex), (2, 2), restarts=np.int64(2))[0] == pytest.approx(1.0)

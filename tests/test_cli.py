@@ -166,10 +166,11 @@ def test_unwritable_output_is_an_io_error_before_the_work(command, flag, message
     assert sorted(tmp_path.iterdir()) == before
 
 
-def test_module_entry_point_runs_the_command():
+@pytest.mark.parametrize("module", ["sepdist", "sepdist.cli"])
+def test_module_entry_point_runs_the_command(module):
     src = str(Path(sepdist.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    command = [sys.executable, "-m", "sepdist.cli", "run", "--state", "no_such_state", "--halt-cs", "1"]
+    command = [sys.executable, "-m", module, "run", "--state", "no_such_state", "--halt-cs", "1"]
     proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == cli.EXIT_ARGS
     assert "unknown state name" in proc.stderr

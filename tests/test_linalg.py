@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from sepdist import (
     DensityMatrix,
     DimensionError,
+    ParameterError,
     ValidationError,
     bell,
     css_max_entangled,
     hs_inner,
     hsd_sq,
     is_ppt,
+    linalg,
     maximally_mixed,
     partial_transpose,
     upb_tiles_state,
@@ -262,3 +264,47 @@ class TestDensityMatrix:
     def test_tiny_dims_rejected(self):
         with pytest.raises(DimensionError):
             DensityMatrix((1, 4), np.eye(4, dtype=complex) / 4)
+
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2)])
+    def test_non_integral_dims_rejected(self, dims):
+        # (2.5, 2) was truncated to (2, 2) before
+        with pytest.raises(DimensionError, match="must all be >= 2"):
+            DensityMatrix(dims, np.eye(4, dtype=complex) / 4)
+
+
+# Each takes its party list through linalg.party_dims; each accepted (2.5, 2) as (2, 2) before.
+PARTY_LIST_CALLS = {
+    "maximally_mixed": lambda dims: maximally_mixed(dims),
+    "contract_party": lambda dims: contract_party(np.eye(4, dtype=complex), 0, I2[0], dims),
+    "partial_transpose": lambda dims: partial_transpose(np.eye(4, dtype=complex), 0, dims),
+}
+
+
+class TestRules:
+    @pytest.mark.parametrize("call", PARTY_LIST_CALLS.values(), ids=PARTY_LIST_CALLS)
+    def test_party_list_entry_points_reject_a_non_integral_dimension(self, call):
+        with pytest.raises(DimensionError, match="must all be >= 2"):
+            call((2.5, 2))
+
+    def test_party_dims_returns_python_ints(self):
+        dims = linalg.party_dims(np.array([2, 3]))
+        assert dims == (2, 3) and all(type(d) is int for d in dims)
+
+    @pytest.mark.parametrize("dims", [(), (1, 2), (2.5, 2), (2, True), ("2", 2), 4, None], ids=repr)
+    def test_party_dims_rejects(self, dims):
+        with pytest.raises(DimensionError):
+            linalg.party_dims(dims)
+
+    def test_int_arg_returns_a_python_int(self):
+        value = linalg.int_arg("count", np.int64(5), 1)
+        assert value == 5 and type(value) is int
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, np.float64(3.0), True, "3", None], ids=repr)
+    def test_int_arg_rejects_a_non_integer(self, value):
+        with pytest.raises(ParameterError, match="count must be integral"):
+            linalg.int_arg("count", value, 1)
+
+    @pytest.mark.parametrize("minimum,message", [(0, "seed must be nonnegative, got -1"), (1, "seed must be >= 1, got -1")])
+    def test_int_arg_below_the_minimum(self, minimum, message):
+        with pytest.raises(ParameterError, match=message):
+            linalg.int_arg("seed", -1, minimum)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sepdist import (
+    DimensionError,
     ParameterError,
     SamplerConfig,
     StateSampler,
@@ -130,8 +131,19 @@ class TestSampler:
         assert sampler._rng.bit_generator.state == generator.bit_generator.state
 
     def test_bad_dimension(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(DimensionError):
             StateSampler(SamplerConfig(seed=0)).product_kets((1, 2), 1)
+
+    def test_no_parties_rejected(self):
+        # an IndexError before
+        with pytest.raises(DimensionError):
+            StateSampler().product_kets((), 3)
+
+    @pytest.mark.parametrize("count", [2.5, True])
+    def test_non_integral_count_rejected(self, count):
+        # 2.5 was a TypeError, True drew one ket
+        with pytest.raises(ParameterError, match="count must be integral"):
+            StateSampler().product_kets((2, 2), count)
 
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
@@ -140,6 +152,10 @@ class TestSampler:
     def test_negative_seed(self):
         with pytest.raises(ParameterError):
             SamplerConfig(seed=-1)
+
+    def test_numpy_integer_seed_is_stored_as_an_int(self):
+        seed = SamplerConfig(seed=np.int64(3)).seed
+        assert seed == 3 and type(seed) is int
 
     @pytest.mark.parametrize("seed", [1.5, True])
     def test_non_integral_seed(self, seed):
@@ -168,6 +184,11 @@ class TestMaxEntangled:
     def test_small_d_rejected(self):
         with pytest.raises(ParameterError):
             max_entangled(1)
+
+    def test_non_integral_d_rejected(self):
+        # a TypeError before
+        with pytest.raises(ParameterError, match="local dimension must be integral"):
+            max_entangled(2.5)
 
 
 class TestCssMaxEntangled:
@@ -204,6 +225,12 @@ class TestGhz:
     def test_purity(self, n):
         rho = ghz(n)
         assert hs_inner(rho, rho) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("build", [ghz, css_ghz, ghz_css_weight, ghz_css_distance])
+    def test_non_integral_party_count_rejected(self, build):
+        # ghz and css_ghz raised a TypeError, the closed forms returned a number
+        with pytest.raises(ParameterError, match="party count must be integral"):
+            build(2.5)
 
 
 class TestCssGhz:

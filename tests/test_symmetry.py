@@ -134,6 +134,12 @@ class TestClosure:
         with pytest.raises(ParameterError, match="cap must be >= 1"):
             closure([local_unitary([SX, SX])], (2, 2), cap=cap)
 
+    @pytest.mark.parametrize("cap", [True, 2.5])
+    def test_non_integral_cap_rejected(self, cap):
+        # True ran the closure, then raised "group closure exceeded cap True"; 2.5 built the group
+        with pytest.raises(ParameterError, match="cap must be integral"):
+            closure([local_unitary([SX, SX])], (2, 2), cap=cap)
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             closure([np.diag([1.0, 2.0, 1.0, 1.0]).astype(complex)], (2, 2))
@@ -185,6 +191,33 @@ class TestPermutedLocal:
         factors = [random_unitary(d, rng) for d in (2, 3, 2)]
         assert np.array_equal(local_unitary(factors).matrix(), kron_all(factors))
 
+    @pytest.mark.parametrize(
+        "perm,factors,error",
+        [
+            ((0, 1), (np.diag([1.0, 2.0]), I2), ValidationError),
+            ((1, 0), (I2, np.eye(3)), DimensionError),
+            ((0, 0), (I2, I2), DimensionError),
+            ((0, 1), (I2, np.eye(1)), DimensionError),
+            ((), (), DimensionError),
+        ],
+        ids=["non-unitary", "unequal-dims", "not-a-permutation", "unit-dimension", "no-parties"],
+    )
+    def test_construction_checks_the_element(self, perm, factors, error):
+        # each was built unchecked before; only closure checked the factors and the permutation
+        with pytest.raises(error):
+            PermutedLocal(perm, factors)
+
+    def test_products_of_a_nearly_unitary_factor_are_not_rechecked(self):
+        # The factor's defect is 8.5e-11, under UNITARY_TOL; its square's is 1.7e-10, over it.
+        t = 2 * np.pi / 7
+        rotation = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]], dtype=complex) * (1 + 3e-11)
+        assert closure([local_unitary([rotation, rotation])], (2, 2)).order == 7
+
+    def test_construction_normalises_its_fields(self):
+        element = PermutedLocal([np.int64(1), 0], [SX.real, I2])
+        assert element.perm == (1, 0) and all(type(p) is int for p in element.perm)
+        assert all(f.dtype == complex for f in element.factors)
+
     def test_other_operands_not_composed(self):
         swap = party_permutation((1, 0), (2, 2))
         assert swap.__matmul__(np.eye(4)) is NotImplemented
@@ -219,6 +252,11 @@ class TestPartyPermutation:
     def test_not_a_permutation(self):
         with pytest.raises(DimensionError):
             party_permutation((0, 0), (2, 2))
+
+    def test_non_integral_entry_rejected(self):
+        # truncated to the swap (1, 0) before
+        with pytest.raises(ParameterError, match="permutation entry must be integral"):
+            party_permutation((1.5, 0), (2, 2))
 
 
 class TestTwirl:
