@@ -14,7 +14,7 @@ eigenvector ascent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite, log, prod, sqrt
+from math import inf, isfinite, log, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateError, DimensionError, ParameterError
 from .gilbert import TRACE_DTYPE, TraceRecord
 # contract_party stays importable from here: the benchmark's traced run patches analysis.contract_party.
-from .linalg import DensityMatrix, as_matrix, contract_party, hermitize, hs_inner, int_arg, party_dims, require_hermitian  # noqa: F401
+from .linalg import DensityMatrix, contract_party, hermitize, hs_inner, int_arg, party_operator, require_hermitian  # noqa: F401
 
 DEFAULT_STRIDE = 100
 DEFAULT_RESTARTS = 64
@@ -284,12 +284,10 @@ def max_sep_overlap(
     Party blocks are prepared once per call (:func:`_party_blocks`), so each party step of a
     sweep (:func:`_sweep`) is one BLAS product and one stacked ``eigh``, the floor left.
     """
-    restarts, dims = int_arg("restarts", restarts, 1), party_dims(dims)
+    restarts = int_arg("restarts", restarts, 1)
+    m, dims = party_operator(op, dims)
     if len(dims) < 2:
         raise DimensionError("need at least two parties")
-    m = as_matrix(op)
-    if m.shape[0] != prod(dims):
-        raise DimensionError(f"operator size {m.shape[0]} does not match dims {dims}")
     require_hermitian(m, what="overlap operator")
     if rng is None:
         rng = np.random.default_rng(0)

@@ -22,7 +22,8 @@ for the columns ``c_t``, ``c_s``, ``d2``), and written from that table or
 from any sequence of ``(trials, successes, d2)`` rows, with the same bytes.
 Floats are rendered with their shortest round-trip representation, so
 write -> read -> write is byte-identical.  A file that is not UTF-8 text is
-a format error.
+a format error.  Writers refuse what readers would refuse, as the reader
+words it: a state file's fields (density checks run on load only), trace rows.
 """
 
 from __future__ import annotations
@@ -68,8 +69,23 @@ class StateFile:
         return self._density
 
 
-def _matrix_payload(mat: np.ndarray) -> list:
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in mat]
+def _fields(dims, kind, matrix) -> tuple[tuple[int, ...], np.ndarray]:
+    """``(dims, matrix())``, with ``dims``, ``kind`` and the matrix checked in that order, by reader and writer alike."""
+    # Taken as written: no float, string, bool or object is a dimension (a numpy integer is, on write).
+    integers = isinstance(dims, (list, tuple)) and all(type(d) is int or isinstance(d, np.integer) for d in dims)
+    if not (integers and dims and min(dims) >= 1):
+        raise FileFormatError(f"dims must be a JSON array of positive integers, got {dims!r}")
+    dims = tuple(int(d) for d in dims)
+    if kind not in (KIND_DENSITY, KIND_OPERATOR):
+        raise FileFormatError(f"unknown state-file kind {kind!r}")
+    try:
+        mat = matrix()
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
+        raise FileFormatError(f"malformed matrix payload: {exc}") from exc
+    total = prod(dims)
+    if mat.shape != (total, total):
+        raise FileFormatError(f"matrix shape {mat.shape} does not match dims {dims}")
+    return dims, mat
 
 
 def dumps_state(
@@ -79,12 +95,13 @@ def dumps_state(
     name: Optional[str] = None,
     metadata: Optional[dict] = None,
 ) -> str:
-    doc: dict = {"dims": [int(d) for d in dims], "kind": kind}
+    dims, mat = _fields(dims, kind, lambda: np.asarray(mat, dtype=complex))
+    doc: dict = {"dims": list(dims), "kind": kind}
     if name is not None:
         doc["name"] = name
     if metadata is not None:
         doc["metadata"] = metadata
-    doc["matrix"] = _matrix_payload(np.asarray(mat, dtype=complex))
+    doc["matrix"] = [[[float(entry.real), float(entry.imag)] for entry in row] for row in mat]
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -117,26 +134,8 @@ def loads_state(text: str) -> StateFile:
         rows = doc["matrix"]
     except KeyError as exc:
         raise FileFormatError(f"missing state-file field: {exc}") from exc
-    # Taken as written: no float, string, bool or object is read as a dimension.
-    if not (isinstance(dims, list) and dims and all(type(d) is int and d >= 1 for d in dims)):
-        raise FileFormatError(f"dims must be a JSON array of positive integers, got {dims!r}")
-    dims = tuple(dims)
-    if kind not in (KIND_DENSITY, KIND_OPERATOR):
-        raise FileFormatError(f"unknown state-file kind {kind!r}")
-    total = prod(dims)
-    try:
-        mat = np.array([[_entry(entry) for entry in row] for row in rows])
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer beyond float range
-        raise FileFormatError(f"malformed matrix payload: {exc}") from exc
-    if mat.shape != (total, total):
-        raise FileFormatError(f"matrix shape {mat.shape} does not match dims {dims}")
-    return StateFile(
-        dims=dims,
-        kind=kind,
-        mat=mat,
-        name=doc.get("name"),
-        metadata=doc.get("metadata"),
-    )
+    dims, mat = _fields(dims, kind, lambda: np.array([[_entry(entry) for entry in row] for row in rows]))
+    return StateFile(dims, kind, mat, name=doc.get("name"), metadata=doc.get("metadata"))
 
 
 def _read_text(path) -> str:
@@ -152,11 +151,20 @@ def read_state(path) -> StateFile:
 
 
 def dumps_trace(trace: Sequence[TraceRecord]) -> str:
-    """The CSV text of ``trace``: a table of ``TRACE_DTYPE``, or a sequence of ``(trials, successes, d2)`` rows."""
-    lines = [TRACE_HEADER]
-    for rec in trace.tolist() if isinstance(trace, np.ndarray) else trace:
-        lines.append(f"{int(rec[0])},{int(rec[1])},{float(rec[2])!r}")
-    return "\n".join(lines) + "\n"
+    """The CSV text of ``trace``: a table of ``TRACE_DTYPE``, or a sequence of ``(trials, successes, d2)`` rows.
+
+    A line the reader would refuse, such as a counter that is a bool, a float or
+    beyond int64, or a d2 that is not finite, raises the reader's :class:`FileFormatError`.
+    """
+    table = isinstance(trace, np.ndarray) and trace.dtype == TRACE_DTYPE
+    body = [f"{rec[0]},{rec[1]},{float(rec[2])!r}" for rec in (trace.tolist() if table else trace)]
+    # A table's counters are int64 by its dtype, so only its d2 column is checked; a sequence's lines are parsed as read.
+    if body and not (np.isfinite(trace["d2"]).all() if table else _table(body) is not None):
+        k, reason = _first_error(body)
+        raise FileFormatError(f"line {k + 2}: {reason}")
+    if not (table or all(isinstance(c, (int, np.integer)) for rec in trace for c in (rec[0], rec[1]))):
+        raise FileFormatError("trace counters must be Python or numpy integers")
+    return "\n".join([TRACE_HEADER, *body]) + "\n"
 
 
 def write_trace(path, trace: Sequence[TraceRecord]) -> None:

@@ -4,8 +4,9 @@ Inner products, squared Hilbert-Schmidt distances, single-party contractions and
 partial transposes.  Everything operates on plain complex ``numpy`` arrays;
 :class:`DensityMatrix` bundles a matrix with the ordered subsystem dimensions it
 lives on, and is the one place where a matrix is checked to be a valid state:
-every instance is one.  :func:`party_dims` and :func:`int_arg` are every
-module's one check of a party list and of an integer argument.
+every instance is one.  :func:`party_dims`, :func:`int_arg` and
+:func:`party_operator` are every module's one check of a party list, of an
+integer argument and of an operator's shape against its party list.
 """
 
 from __future__ import annotations
@@ -42,6 +43,16 @@ def int_arg(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ParameterError(f"{name} must be {'nonnegative' if minimum == 0 else f'>= {minimum}'}, got {value}")
     return int(value)
+
+
+def party_operator(mat, dims) -> tuple[np.ndarray, tuple[int, ...]]:
+    """``mat``'s complex matrix and ``party_dims(dims)``; :class:`DimensionError` unless it is (D, D), D = prod(dims)."""
+    dims = party_dims(dims)
+    m = mat.mat if isinstance(mat, DensityMatrix) else np.asarray(mat, dtype=complex)
+    total = prod(dims)
+    if m.shape != (total, total):
+        raise DimensionError(f"matrix shape {m.shape} does not match dims {dims} (D={total})")
+    return m, dims
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -87,11 +98,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        dims = party_dims(self.dims)
-        mat = np.asarray(self.mat, dtype=complex)
-        total = prod(dims)
-        if mat.shape != (total, total):
-            raise DimensionError(f"matrix shape {mat.shape} does not match dims {dims} (D={total})")
+        mat, dims = party_operator(self.mat, self.dims)
         require_hermitian(mat, what="density matrix")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > TRACE_TOL:
@@ -162,12 +169,8 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     ``conj(b) (x) b`` rows with the ``(d*d, (D/d)**2)`` reshape of the
     operator.
     """
-    dims = party_dims(dims)
+    m, dims = party_operator(mat, dims)
     n = len(dims)
-    total = prod(dims)
-    m = mat.mat if isinstance(mat, DensityMatrix) else np.asarray(mat, dtype=complex)
-    if m.shape != (total, total):
-        raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
     if not 0 <= party < n:
         raise DimensionError(f"party index {party} out of range for {n} parties")
     d = dims[party]
@@ -175,7 +178,7 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     if vec.shape[-1:] != (d,):
         raise DimensionError(f"vector shape {vec.shape} does not end in dims[{party}] = {d}")
     pre = prod(dims[:party])
-    post = total // (pre * d)
+    post = len(m) // (pre * d)
     rest = pre * post
     x = m.reshape(pre, d, post, pre, d, post).transpose(1, 4, 0, 2, 3, 5).reshape(d * d, rest * rest)
     # Row (bra) index contracts with conj(b), column (ket) index with b.
@@ -183,29 +186,22 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     return (w @ x).reshape(vec.shape[:-1] + (rest, rest))
 
 
-def partial_transpose(rho, party: int, dims=None) -> np.ndarray:
-    """Transpose the indices of a single party.
+def partial_transpose(rho, cut, dims=None) -> np.ndarray:
+    """Transpose the indices of the parties in ``cut``: one party index, or a collection of distinct ones.
 
     ``rho`` may be a :class:`DensityMatrix` (dims implied) or a plain array
-    accompanied by ``dims``.  Applying the operation twice restores the
-    input exactly (it is an entry permutation).
+    accompanied by ``dims``.  It is one entry permutation: applying it twice
+    restores the input exactly, and it equals the cut's single-party transposes in turn.
     """
-    if isinstance(rho, DensityMatrix):
-        dims = rho.dims
-    elif dims is None:
-        raise DimensionError("dims are required when the input is a bare matrix")
-    dims = party_dims(dims)
+    m, dims = party_operator(rho, rho.dims if isinstance(rho, DensityMatrix) else dims)
     n = len(dims)
-    if not 0 <= party < n:
-        raise DimensionError(f"party index {party} out of range for {n} parties")
-    m = as_matrix(rho)
-    total = prod(dims)
-    if m.shape != (total, total):
-        raise DimensionError(f"matrix shape {m.shape} does not match dims {dims}")
-    tensor = m.reshape(dims + dims)
+    parties = (cut,) if isinstance(cut, Integral) else tuple(cut)
+    if not all(isinstance(p, Integral) and 0 <= p < n for p in parties) or len(set(parties)) < len(parties):
+        raise DimensionError(f"cut {cut!r} is not a set of distinct party indices below {n}")
     axes = list(range(2 * n))
-    axes[party], axes[n + party] = axes[n + party], axes[party]
-    return tensor.transpose(axes).reshape(total, total)
+    for p in parties:
+        axes[p], axes[n + p] = n + p, p
+    return m.reshape(dims + dims).transpose(axes).reshape(m.shape)
 
 
 def is_ppt(rho: DensityMatrix, tol: float = PSD_TOL) -> bool:
@@ -213,15 +209,12 @@ def is_ppt(rho: DensityMatrix, tol: float = PSD_TOL) -> bool:
 
     False at the first bipartition whose partial transpose has an
     eigenvalue below ``-tol``.  Transposing a subset of parties has the
-    same spectrum as transposing its complement, so only the subsets
-    without party 0 are tried.
+    same spectrum as transposing its complement, so only the cuts
+    without party 0 are tried, one ``partial_transpose`` each.
     """
     n = len(rho.dims)
     for r in range(1, n):
-        for subset in itertools.combinations(range(1, n), r):
-            mat = rho.mat
-            for party in subset:
-                mat = partial_transpose(mat, party, rho.dims)
-            if np.linalg.eigvalsh(mat)[0] < -tol:
+        for cut in itertools.combinations(range(1, n), r):
+            if np.linalg.eigvalsh(partial_transpose(rho, cut))[0] < -tol:
                 return False
     return True

@@ -260,6 +260,53 @@ def test_state_round_trip_is_text_identical():
         assert np.array_equal(sf.mat, mat)
 
 
+@pytest.mark.parametrize(
+    "dims, kind",
+    [((2.5, 2), fileio.KIND_DENSITY), ((True, 4), fileio.KIND_DENSITY), ((2, 2), "foo"), ((3, 3), fileio.KIND_DENSITY)],
+    ids=["float-dim", "bool-dim", "unknown-kind", "shape"],
+)
+def test_state_writer_refuses_what_the_reader_refuses(dims, kind):
+    # written as [2, 2], [1, 4], "foo" and a 4 x 4 matrix on (3, 3) before, each then refused by loads_state
+    with pytest.raises(FileFormatError):
+        fileio.dumps_state(np.eye(4) / 4, dims, kind=kind)
+
+
+@pytest.mark.parametrize("dims", [(2,), (1,), (np.int64(2),)], ids=repr)
+def test_operator_files_of_one_party_round_trip(dims):
+    mat = np.diag([1j, 2.0])[: dims[0], : dims[0]]
+    text = fileio.dumps_state(mat, dims, kind=fileio.KIND_OPERATOR)
+    sf = fileio.loads_state(text)
+    assert sf.dims == tuple(int(d) for d in dims)
+    assert fileio.dumps_state(sf.mat, sf.dims, kind=sf.kind) == text
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(7.9, 1, 0.5)], "line 2: c_t '7.9' is not a decimal integer"),
+        ([(7, 1, 0.5), (True, 2.5, 0.25)], "line 3: c_t 'True' is not a decimal integer"),
+        ([(7, 2.0, 0.5)], "line 2: c_s '2.0' is not a decimal integer"),
+        ([(INT64_MAX + 1, 1, 0.5)], "line 2: c_t '9223372036854775808' is not a decimal integer within int64"),
+        ([(7, 1, float("nan"))], "line 2: d2 'nan' is not finite"),
+        ([(7, 1, 0.5), (14, 2, float("inf"))], "line 3: d2 'inf' is not finite"),
+        (np.rec.fromarrays([[7, 14], [1, 2], [0.5, -np.inf]], dtype=TRACE_DTYPE), "line 3: d2 '-inf' is not finite"),
+        ([(7, 1, 0.5), (" 14", 2, 0.25)], "trace counters must be Python or numpy integers"),
+    ],
+    ids=["float-counter", "bool-counter", "integral-float-counter", "beyond-int64", "nan", "inf", "table", "string-counter"],
+)
+def test_trace_writer_refuses_what_the_reader_refuses(rows, message):
+    # written as 7,1,0.5, 1,2,0.25, 7,2,0.5 and 14,2,0.25 before; the others were refused by loads_trace only
+    with pytest.raises(FileFormatError, match=re.escape(message)):
+        fileio.dumps_trace(rows)
+
+
+def test_trace_writer_takes_negative_numpy_and_int64_bound_counters():
+    rows = [(INT64_MAX, -INT64_MAX - 1, 0.5), (np.int64(-3), np.int32(4), np.float64(0.25))]
+    text = fileio.dumps_trace(rows)
+    assert text == f"{HEADER}\n{INT64_MAX},{-INT64_MAX - 1},0.5\n-3,4,0.25\n"
+    assert fileio.dumps_trace(fileio.loads_trace(text)) == text
+
+
 def test_invalid_density_payload_is_rejected_on_load():
     text = fileio.dumps_state(np.diag([0.7, 0.5, -0.1, -0.1]), (2, 2))
     with pytest.raises(ValidationError, match="not positive semidefinite"):

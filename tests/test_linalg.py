@@ -16,6 +16,7 @@ from sepdist import (
     hsd_sq,
     is_ppt,
     linalg,
+    max_sep_overlap,
     maximally_mixed,
     partial_transpose,
     upb_tiles_state,
@@ -200,6 +201,42 @@ class TestPartialTranspose:
             partial_transpose(bell(), 5)
 
 
+class TestCut:
+    @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2), (2, 2, 2, 2)])
+    def test_cut_equals_its_single_party_transposes_in_turn(self, dims):
+        rho = random_density(dims, rng_for(23))
+        for r in range(1, len(dims) + 1):
+            for cut in itertools.combinations(range(len(dims)), r):
+                composed = rho.mat
+                for party in cut:
+                    composed = partial_transpose(composed, party, dims)
+                assert np.array_equal(partial_transpose(rho, cut), composed)
+                assert np.array_equal(partial_transpose(rho.mat, list(reversed(cut)), dims), composed)
+
+    @pytest.mark.parametrize("cut", [(1, 1), (0, 5), (-1,)], ids=repr)
+    def test_repeated_or_out_of_range_party_rejected(self, cut):
+        with pytest.raises(DimensionError, match="distinct party indices"):
+            partial_transpose(maximally_mixed((2, 2)), cut)
+
+    def test_numpy_integer_is_a_single_party(self):
+        rho = random_density((2, 3), rng_for(24))
+        expected = partial_transpose(rho, 1)
+        assert np.array_equal(partial_transpose(rho, np.int64(1)), expected)
+        assert np.array_equal(partial_transpose(rho, (np.int64(1),)), expected)
+
+    def test_is_ppt_transposes_each_cut_once(self, monkeypatch):
+        cuts = []
+
+        def counted(rho, cut, dims=None):
+            cuts.append(cut)
+            return partial_transpose(rho, cut, dims)
+
+        monkeypatch.setattr(linalg, "partial_transpose", counted)
+        assert is_ppt(maximally_mixed((2, 2, 2, 2)))
+        # the 7 cuts without party 0; one single-party transpose per party of each took 12 before
+        assert cuts == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+
+
 class TestInvariantsAndProperties:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -279,12 +316,33 @@ PARTY_LIST_CALLS = {
     "partial_transpose": lambda dims: partial_transpose(np.eye(4, dtype=complex), 0, dims),
 }
 
+# Each checks its operator against its party list through linalg.party_operator.
+OPERATOR_CALLS = {
+    "DensityMatrix": lambda mat: DensityMatrix((2, 2), mat),
+    "contract_party": lambda mat: contract_party(mat, 0, I2[0], (2, 2)),
+    "partial_transpose": lambda mat: partial_transpose(mat, 0, (2, 2)),
+    "max_sep_overlap": lambda mat: max_sep_overlap(mat, (2, 2)),
+}
+
 
 class TestRules:
     @pytest.mark.parametrize("call", PARTY_LIST_CALLS.values(), ids=PARTY_LIST_CALLS)
     def test_party_list_entry_points_reject_a_non_integral_dimension(self, call):
         with pytest.raises(DimensionError, match="must all be >= 2"):
             call((2.5, 2))
+
+    @pytest.mark.parametrize("call", OPERATOR_CALLS.values(), ids=OPERATOR_CALLS)
+    def test_operator_entry_points_reject_a_shape_that_is_not_the_party_lists(self, call):
+        # max_sep_overlap worded it "operator size 5" before
+        with pytest.raises(DimensionError, match=r"matrix shape \(5, 5\) does not match dims \(2, 2\) \(D=4\)"):
+            call(np.eye(5, dtype=complex) / 5)
+
+    def test_party_operator_returns_the_matrix_and_the_party_list(self):
+        rho = bell()
+        mat, dims = linalg.party_operator(rho, np.array([2, 2]))
+        assert mat is rho.mat and dims == (2, 2) and all(type(d) is int for d in dims)
+        mat, _ = linalg.party_operator([[1, 0], [0, 1]], (2,))
+        assert mat.dtype == complex and np.array_equal(mat, I2)
 
     def test_party_dims_returns_python_ints(self):
         dims = linalg.party_dims(np.array([2, 3]))
