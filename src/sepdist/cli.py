@@ -151,8 +151,11 @@ def cmd_run(args) -> int:
     with _failures("bad group cap", raw=True):  # also without --sym: meta.json records it
         int_arg("--sym-cap", args.sym_cap, 1)
     target = _load_density(args.state)
-    if args.dims is not None and _parse_dims(args.dims) != target.dims:
-        raise CliError(EXIT_VALIDATION, f"--dims {args.dims} does not match state dims {target.dims}")
+    if args.dims is not None:
+        with _failures("bad dimensions", raw=True):
+            dims = tuple(int_arg("--dims entry", d, 2) for d in _parse_dims(args.dims))
+        if dims != target.dims:
+            raise CliError(EXIT_VALIDATION, f"--dims {args.dims} does not match state dims {target.dims}")
     init = None if args.init == "maxmix" else _load_density(args.init)  # None: run's maximally mixed default
 
     group = None

@@ -11,10 +11,10 @@ and the separable set.
 
 Trials run as one sequential stream: trial ``t`` is ket ``t`` of the
 sampler's seeded stream, tested against the iterate as it stands after
-trial ``t - 1``.  The run loop draws kets in chunks and skips none; how
-the stream is chunked and windowed is a speed setting only, and the trace
-of a seeded run does not depend on it, since each ket's overlaps round
-the same in a window of any size.
+trial ``t - 1``, so a run's place in the stream is ``RunState.trials``.
+The run loop draws kets in chunks and skips none; how the stream is
+chunked and windowed is a speed setting only, and a seeded run's trace
+does not depend on it: each ket's overlaps round alike in any window.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ class HaltCriteria:
         """Trials the run may still make; it stops when this is at most 0.
 
         0 once the distance or success target is met; otherwise the fewer
-        trials left under ``max_trials`` and ``stall_trials``, or
-        ``math.inf`` when neither is set.  The stall count runs from the
-        last acceptance, ``state.trace[-1].trials`` (0 with an empty trace).
+        trials left under ``max_trials`` and ``stall_trials`` (counted by
+        :attr:`RunState.stall`), or ``math.inf`` when neither is set.
         """
         if (self.target_d2 is not None and state.d2 <= self.target_d2) or (
             self.max_successes is not None and state.successes >= self.max_successes
@@ -85,8 +84,7 @@ class HaltCriteria:
         if self.max_trials is not None:
             left = min(left, self.max_trials - state.trials)
         if self.stall_trials is not None:
-            last_success = state.trace[-1].trials if state.trace else 0
-            left = min(left, self.stall_trials - (state.trials - last_success))
+            left = min(left, self.stall_trials - state.stall)
         return left
 
 
@@ -135,6 +133,11 @@ class RunState:
             approx = twirl(approx, group)
         return cls(target=target, approx=approx, d2=hsd_sq(target, approx), group=group)
 
+    @property
+    def stall(self) -> int:
+        """Trials since the last acceptance, ``trace[-1].trials``; all of ``trials`` with an empty trace."""
+        return self.trials - (self.trace[-1].trials if self.trace else 0)
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -169,11 +172,11 @@ def run(
     ket stands.  An accepted trial moves the iterate to the point of their
     segment nearest the target, which may be the trial itself (Gilbert's
     clamp, :meth:`_Engine.try_accept`).  Trial ``t`` is ket ``t`` of the
-    sampler's stream, so a seeded run is deterministic and its trace does
-    not depend on how the loop chunks the stream (``CHUNK``,
-    ``MIN_WINDOW``).  The iterate's inner products are read from it after
-    every acceptance, and the returned ``d2`` is the exact squared distance
-    of the returned iterate.
+    sampler's stream, and ``state.trials`` is the run's place in it, so a
+    seeded run is deterministic and its trace does not depend on how the
+    loop chunks the stream (``CHUNK``, ``MIN_WINDOW``).  The iterate's
+    inner products are read from it after every acceptance, and the
+    returned ``d2`` is the exact squared distance of the returned iterate.
 
     Without ``max_trials`` or ``stall_trials`` a run on a (nearly)
     separable target may never end: no trial is accepted, so neither the
@@ -267,36 +270,30 @@ class _Engine:
 def _run_loop(state: RunState, sampler: StateSampler, halt: HaltCriteria) -> None:
     """Trial ``t`` is ket ``t`` of the sampler's stream; no ket is skipped.
 
-    Kets arrive in chunks of ``CHUNK``, one ``product_kets`` call each;
-    their conjugates are taken once per chunk and serve the target
-    overlaps (computed once per chunk) and every window's iterate
-    overlaps.  A window of iterate overlaps starts at ``MIN_WINDOW`` kets
-    after an acceptance (the iterate moved) and doubles while trials keep
-    failing; it never runs past the trials the halt criteria have left.
-    Each decision depends only on its ket and the current iterate, and
-    ``_quad_forms`` rounds a ket's overlaps alike in every window, so the
-    trace does not depend on either constant.
+    ``state`` is the only bookkeeping: a pass starts at row ``state.trials %
+    CHUNK`` of the chunk, and draws a new chunk (one ``product_kets`` call)
+    at row 0.  The kets' conjugates, taken once per chunk, serve the target
+    overlaps (once per chunk) and each window's iterate overlaps.  A window
+    covers ``MIN_WINDOW + state.stall`` kets (64, 128, 256, ... after an
+    acceptance), cut at the chunk's end and at the trials the halt criteria
+    have left.  ``_quad_forms`` rounds a ket's overlaps alike in every
+    window, so the trace depends on neither constant.
     """
     engine = _Engine(state)
-    dims = state.target.dims
-    start, window = CHUNK, MIN_WINDOW  # start == CHUNK: the chunk is used up
     while (left := halt.trials_left(state)) > 0:
-        if start == CHUNK:
-            kets = sampler.product_kets(dims, CHUNK)
+        trials, start = state.trials, state.trials % CHUNK
+        if start == 0:
+            kets = sampler.product_kets(state.target.dims, CHUNK)
             bras = kets.conj()
             q0s = _quad_forms(engine.tmat, kets, bras)
-            start = 0
-        stop = min(start + window, start + left, CHUNK)
+        stop = min(start + MIN_WINDOW + state.stall, start + left, CHUNK)
         q1s = _quad_forms(engine.amat, kets[start:stop], bras[start:stop])
         flags = q0s[start:stop] - q1s - engine.mu01 + engine.mu11 > 0.0
-        before = state.trials - start  # trials counted before ket 0 of this chunk
-        for offset in flags.nonzero()[0]:
-            idx = start + int(offset)
-            state.trials = before + idx + 1
+        for offset in flags.nonzero()[0].tolist():
+            idx = start + offset
+            state.trials = trials + offset + 1
             if engine.try_accept(kets[idx], float(q0s[idx]), float(q1s[offset])) is None:
-                start, window = idx + 1, MIN_WINDOW  # the iterate moved; later kets need fresh overlaps
-                break
+                break  # the iterate moved; later kets need fresh overlaps
         else:
-            state.trials = before + stop
-            start, window = stop, min(2 * window, CHUNK)
+            state.trials = trials + stop - start
     engine.finalize()

@@ -117,23 +117,27 @@ def maximally_mixed(dims) -> DensityMatrix:
     return DensityMatrix(dims, np.eye(total, dtype=complex) / total)
 
 
-def _inner_raw(a: np.ndarray, b: np.ndarray) -> float:
-    # Tr[A B] for Hermitian A, B equals Tr[A^dagger B] = vdot(A, B), real up to noise.
-    return float(np.vdot(a, b).real)
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both operands' matrices: one shape, and one party list when both are :class:`DensityMatrix`."""
+    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix) and a.dims != b.dims:
+        raise DimensionError(f"subsystem dimensions differ: {a.dims} vs {b.dims}")
+    am, bm = as_matrix(a), as_matrix(b)
+    if am.shape != bm.shape:
+        raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
+    return am, bm
 
 
 def hs_inner(a, b) -> float:
     """Hilbert-Schmidt inner product Tr[A B] of two Hermitian matrices.
 
     Real and symmetric in its arguments.  Both operands are validated to
-    be Hermitian within ``HERMITIAN_TOL``.
+    be Hermitian within ``HERMITIAN_TOL``, and paired as in :func:`hsd_sq`.
     """
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
+    am, bm = _pair(a, b)
     require_hermitian(am, what="left operand")
     require_hermitian(bm, what="right operand")
-    return _inner_raw(am, bm)
+    # Tr[A B] for Hermitian A, B equals Tr[A^dagger B] = vdot(A, B), real up to noise.
+    return float(np.vdot(am, bm).real)
 
 
 def hsd_sq(a, b) -> float:
@@ -142,13 +146,9 @@ def hsd_sq(a, b) -> float:
     For :class:`DensityMatrix` inputs the subsystem dimensions must agree,
     not just the total size.
     """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix) and a.dims != b.dims:
-        raise DimensionError(f"subsystem dimensions differ: {a.dims} vs {b.dims}")
-    am, bm = as_matrix(a), as_matrix(b)
-    if am.shape != bm.shape:
-        raise DimensionError(f"shape mismatch {am.shape} vs {bm.shape}")
+    am, bm = _pair(a, b)
     diff = am - bm
-    return _inner_raw(diff, diff)
+    return float(np.vdot(diff, diff).real)
 
 
 # No package code calls it and the package does not export it.  It stays because the

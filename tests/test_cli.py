@@ -118,6 +118,13 @@ class TestRun:
         assert out == ""
         assert "does not match state dims" in err
 
+    @pytest.mark.parametrize("dims", ["0,2", "-2", "1,4"])
+    def test_dims_below_two_are_an_argument_error(self, dims, capsys):
+        assert cli.main(["run", "--state", "bell", "--dims", dims, "--halt-cs", "1"]) == cli.EXIT_ARGS
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--dims entry must be >= 2" in err
+
     def test_unparsable_dims_are_an_argument_error(self, capsys):
         assert cli.main(["run", "--state", "bell", "--dims", "x", "--halt-cs", "1"]) == cli.EXIT_ARGS
         assert "cannot parse dimensions" in capsys.readouterr().err

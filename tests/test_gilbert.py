@@ -97,6 +97,13 @@ class TestHaltCriteria:
         assert HaltCriteria(max_trials=50, stall_trials=25).trials_left(state) == 10
         assert HaltCriteria(stall_trials=5).trials_left(state) == -5
 
+    def test_stall(self):
+        state = RunState.initial(BELL)
+        state.trials = 40
+        assert state.stall == 40  # no acceptance: counted from trial 0
+        state.trace.append(TraceRecord(30, 1, 0.7))
+        assert state.stall == 10
+
 
 class TestPreselect:
     def test_trial_equals_iterate(self):
@@ -527,6 +534,43 @@ class TestKetStream:
         init = target if target is not BELL else None  # the separable target starts at its own CSS
         result = run(target, halt, init=init, sampler=sampler)
         assert 0 <= sampler.drawn - result.state.trials < gilbert.CHUNK
+
+    @pytest.mark.parametrize(
+        "halt", [HaltCriteria(max_successes=300), HaltCriteria(max_trials=6145)], ids=["successes", "trials"]
+    )
+    def test_windows_restart_at_each_acceptance_and_grow_by_the_stall(self, halt, monkeypatch):
+        rows, depth = [], 0  # rows of each _quad_forms call made by the run loop
+
+        def recording(mat, kets, bras):
+            nonlocal depth
+            if depth == 0:
+                rows.append(len(kets))
+            depth += 1  # a one-row window recurses on two rows; that call is not the loop's
+            try:
+                return quad_forms(mat, kets, bras)
+            finally:
+                depth -= 1
+
+        quad_forms = gilbert._quad_forms
+        monkeypatch.setattr(gilbert, "_quad_forms", recording)
+        result = run(BELL, halt, config=SamplerConfig(seed=5))
+        accepted = [rec.trials for rec in result.trace]
+        chunk, expected, cut, trials, last = gilbert.CHUNK, [], 0, 0, 0
+        while trials < result.state.trials:
+            start = trials % chunk
+            if start == 0:
+                expected.append(chunk)  # the chunk's target overlaps
+            left = math.inf if halt.max_trials is None else halt.max_trials - trials
+            window = min(gilbert.MIN_WINDOW + trials - last, chunk - start, left)
+            expected.append(window)
+            cut += window == chunk - start < gilbert.MIN_WINDOW + trials - last
+            hits = [t for t in accepted if trials < t <= trials + window]
+            if hits:
+                trials = last = hits[0]
+            else:
+                trials += window
+        assert rows == expected
+        assert cut > 0  # some windows stopped at a chunk's end
 
 
 class TestPinnedTrajectories:

@@ -48,6 +48,10 @@ class TestHsInner:
         with pytest.raises(DimensionError):
             hs_inner(I2, np.eye(4))
 
+    def test_dims_mismatch(self):
+        with pytest.raises(DimensionError, match="subsystem dimensions differ"):
+            hs_inner(maximally_mixed((2, 3)), maximally_mixed((3, 2)))
+
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValidationError):
             hs_inner(np.array([[0, 1], [0, 0]], dtype=complex), I2)
