@@ -103,14 +103,8 @@ def _parse_sym(spec: str, dims: tuple[int, ...]) -> symmetry.PermutedLocal:
         with _failures(f"bad permutation {spec!r}"):
             return symmetry.party_permutation(perm, dims)
     if head == "local":
-        paths = [p for p in arg.split(",") if p]
-        if len(paths) != len(dims):
-            raise CliError(
-                EXIT_VALIDATION,
-                f"local generator needs one matrix per party ({len(dims)}), got {len(paths)}",
-            )
         factors = []
-        for path in paths:
+        for path in (p for p in arg.split(",") if p):
             with _failures(f"cannot read matrix file {path!r}"):
                 factors.append(fileio.read_state(path).mat)
         with _failures(f"bad local generator {spec!r}"):

@@ -124,6 +124,8 @@ class RunState:
         elif not is_ppt(approx):
             raise ValidationError("initial state is not PPT, so it is entangled and d2 would bound nothing")
         if group is not None:
+            if not isinstance(group, SymmetryGroup):
+                raise ValidationError(f"group must be a SymmetryGroup, the closure of PermutedLocal generators; got {type(group).__name__}")
             defect = invariance_check(target, group)
             if defect > INVARIANCE_TOL:
                 raise ValidationError(
@@ -163,9 +165,9 @@ def run(
     construction and not checked.  A given init must be separable, or
     ``d2`` bounds nothing; an init that is not PPT raises
     :class:`ValidationError`, but a PPT entangled init such as
-    ``upb_tiles_state()`` cannot be detected.  ``group`` must leave the
-    target invariant (:func:`symmetry.invariance_check` at most
-    ``INVARIANCE_TOL``, else :class:`ValidationError`).  When a group is
+    ``upb_tiles_state()`` cannot be detected.  ``group`` must be a
+    :class:`SymmetryGroup` that leaves the target invariant (``invariance_check``
+    at most ``INVARIANCE_TOL``), else :class:`ValidationError`.  When a group is
     given the initial iterate is twirled once up front and every preselected
     trial is twirled; the twirl leaves the trial's overlaps with the
     (invariant) target and iterate unchanged, so the preselection of its

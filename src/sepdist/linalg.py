@@ -12,6 +12,7 @@ integer argument and of an operator's shape against its party list.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import prod
 from numbers import Integral
@@ -45,6 +46,11 @@ def int_arg(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _is_party(p, n: int) -> bool:
+    """Whether ``p`` indexes one of ``n`` parties: an integer (not a bool) in 0..n-1."""
+    return isinstance(p, Integral) and not isinstance(p, bool) and 0 <= p < n
+
+
 def party_operator(mat, dims) -> tuple[np.ndarray, tuple[int, ...]]:
     """``mat``'s complex matrix and ``party_dims(dims)``; :class:`DimensionError` unless it is (D, D), D = prod(dims)."""
     dims = party_dims(dims)
@@ -56,11 +62,7 @@ def party_operator(mat, dims) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def as_matrix(obj) -> np.ndarray:
-    """Return the underlying complex square array of ``obj``.
-
-    Accepts a :class:`DensityMatrix` or anything convertible to a
-    complex ndarray.
-    """
+    """The complex square array of ``obj``: a :class:`DensityMatrix`'s matrix, or ``obj`` converted."""
     if isinstance(obj, DensityMatrix):
         return obj.mat
     mat = np.asarray(obj, dtype=complex)
@@ -171,8 +173,8 @@ def contract_party(mat, party: int, vec: np.ndarray, dims) -> np.ndarray:
     """
     m, dims = party_operator(mat, dims)
     n = len(dims)
-    if not 0 <= party < n:
-        raise DimensionError(f"party index {party} out of range for {n} parties")
+    if not _is_party(party, n):
+        raise DimensionError(f"party index {party!r} is not an integer below {n}")
     d = dims[party]
     vec = np.asarray(vec, dtype=complex)
     if vec.shape[-1:] != (d,):
@@ -195,8 +197,8 @@ def partial_transpose(rho, cut, dims=None) -> np.ndarray:
     """
     m, dims = party_operator(rho, rho.dims if isinstance(rho, DensityMatrix) else dims)
     n = len(dims)
-    parties = (cut,) if isinstance(cut, Integral) else tuple(cut)
-    if not all(isinstance(p, Integral) and 0 <= p < n for p in parties) or len(set(parties)) < len(parties):
+    parties = tuple(cut) if isinstance(cut, Iterable) else (cut,)
+    if not all(_is_party(p, n) for p in parties) or len(set(parties)) < len(parties):
         raise DimensionError(f"cut {cut!r} is not a set of distinct party indices below {n}")
     axes = list(range(2 * n))
     for p in parties:

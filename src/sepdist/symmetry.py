@@ -1,11 +1,11 @@
 """Finite symmetry groups and twirling of trial states.
 
-A group here is an explicit list of unitaries, closed under multiplication
-and deduplicated up to global phase.  Its generators are
-:class:`PermutedLocal` elements, one unitary per party followed by a
-permutation of equal-dimension parties; products keep that form, so every
-element maps product states to product states and the group preserves
-separability by construction.  A dense matrix is not a generator.  A group
+A :class:`SymmetryGroup` is an explicit list of unitaries, closed under
+multiplication and deduplicated up to global phase, and it is built one way:
+as the closure of :class:`PermutedLocal` generators, one unitary per party
+followed by a permutation of equal-dimension parties.  Products keep that
+form, so every element maps product states to product states and the group
+preserves separability by construction.  A dense matrix is not a generator.  A group
 used to twirl a run must also leave the target invariant: the run then
 keeps the same limit and only searches a smaller set.  ``gilbert.run``
 rejects a group whose :func:`invariance_check` exceeds ``INVARIANCE_TOL``.
@@ -28,28 +28,13 @@ DEFAULT_CAP = 1024  # closure's largest group order
 
 
 @dataclass(frozen=True, eq=False)
-class SymmetryGroup:
-    """A finite list of unitaries (identity included) on a fixed party structure.
-
-    ``elements`` is one ``(order, D, D)`` array, one dense unitary per element.
-    """
-
-    dims: tuple[int, ...]
-    elements: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-@dataclass(frozen=True, eq=False)
 class PermutedLocal:
     """The unitary ``P_perm (F_0 (x) ... (x) F_{n-1})``; ``P_perm`` puts old party ``perm[k]`` in slot k.
 
     ``a @ b`` composes two elements into a third of the same form.  Every instance is
     valid: construction checks the permutation (it moves each party into a slot of its
-    own dimension, else :class:`DimensionError`) and each factor's unitarity
-    (else :class:`ValidationError`), and a product of two elements is one.
+    own dimension, else :class:`DimensionError`) and that each factor is finite and
+    unitary (else :class:`ValidationError`), and a product of two elements is one.
     """
 
     perm: tuple[int, ...]
@@ -62,6 +47,8 @@ class PermutedLocal:
         if sorted(perm) != list(range(len(dims))) or any(dims[p] != d for p, d in zip(perm, dims)):
             raise DimensionError(f"{perm} is not a permutation of 0..{len(dims) - 1} between parties of equal dimension {dims}")
         for i, f in enumerate(factors):
+            if not np.isfinite(f).all():  # NaN passes the defect test below
+                raise ValidationError(f"factor {i} has non-finite entries")
             defect = float(np.linalg.norm(f @ f.conj().T - np.eye(f.shape[0])))
             if defect > UNITARY_TOL:
                 raise ValidationError(f"factor {i} is not unitary (defect {defect:.3e} > {UNITARY_TOL:.0e})")
@@ -119,42 +106,55 @@ def _phase_duplicate(a: np.ndarray, b: np.ndarray, tol: float = DEDUP_TOL) -> bo
     return bool(np.abs(a - c * b).max() <= tol)
 
 
-def closure(generators, dims, cap: int = DEFAULT_CAP) -> SymmetryGroup:
-    """Multiplicative closure of the generators, identity included.
+@dataclass(frozen=True, eq=False, init=False)
+class SymmetryGroup:
+    """The closure of ``generators`` on ``dims``: the one way to build a group, also named ``closure``.
 
-    Every generator must be a :class:`PermutedLocal` (else
-    :class:`ValidationError`), so that the group preserves separability,
-    and act on ``dims`` (else :class:`DimensionError`).  Each element found
-    is multiplied on the right by each generator.  A product that matches
-    an element with the same permutation factor by factor, each factor up
-    to its own phase, is dropped, so every element (repeated generators
-    included) appears once up to a global phase, which the twirl channel
-    ignores.  Raises :class:`CapacityError` if the closure grows beyond
-    ``cap`` elements, and :class:`ParameterError` unless ``cap`` is an
-    integer >= 1 (no group fits below 1).
+    Every generator must be a :class:`PermutedLocal` (else :class:`ValidationError`),
+    so that the group preserves separability, and act on ``dims`` (else
+    :class:`DimensionError`).  Each element found, the identity first, is multiplied
+    on the right by each generator; a product that matches an element with the same
+    permutation factor by factor, each factor up to its own phase, is dropped, so
+    every element appears once up to a global phase, which the twirl ignores.  More
+    than ``cap`` elements raise :class:`CapacityError`, and a ``cap`` that is not an
+    integer >= 1 raises :class:`ParameterError`.  ``elements`` is one read-only
+    ``(order, D, D)`` array, one dense unitary per element.
     """
-    cap, dims, gens = int_arg("cap", cap, 1), party_dims(dims), list(generators)
-    for i, g in enumerate(gens):
-        if not isinstance(g, PermutedLocal):
-            raise ValidationError(f"generator {i} is not a PermutedLocal, so it may not preserve separability")
-        if g.dims != dims:
-            raise DimensionError(f"generator {i} acts on dims {g.dims}, expected {dims}")
 
-    found = [party_permutation(range(len(dims)), dims)]
-    by_perm = {found[0].perm: [found[0]]}
-    for element in found:  # grows while it is walked
-        for g in gens:
-            candidate = element @ g
-            same_perm = by_perm.setdefault(candidate.perm, [])
-            if any(all(map(_phase_duplicate, candidate.factors, e.factors)) for e in same_perm):
-                continue
-            same_perm.append(candidate)
-            found.append(candidate)
-            if len(found) > cap:
-                raise CapacityError(f"group closure exceeded cap {cap}")
-    # Filled in place, one element at a time: never a second copy of the group.
-    dense = np.fromiter((e.matrix() for e in found), dtype=np.dtype((complex, (prod(dims),) * 2)), count=len(found))
-    return SymmetryGroup(dims, dense)
+    dims: tuple[int, ...]
+    elements: np.ndarray
+
+    def __init__(self, generators, dims, cap: int = DEFAULT_CAP):
+        cap, dims, gens = int_arg("cap", cap, 1), party_dims(dims), list(generators)
+        for i, g in enumerate(gens):
+            if not isinstance(g, PermutedLocal):
+                raise ValidationError(f"generator {i} is not a PermutedLocal, so it may not preserve separability")
+            if g.dims != dims:
+                raise DimensionError(f"generator {i} acts on dims {g.dims}, expected {dims}")
+        found = [party_permutation(range(len(dims)), dims)]
+        by_perm = {found[0].perm: [found[0]]}
+        for element in found:  # grows while it is walked
+            for g in gens:
+                candidate = element @ g
+                same_perm = by_perm.setdefault(candidate.perm, [])
+                if any(all(map(_phase_duplicate, candidate.factors, e.factors)) for e in same_perm):
+                    continue
+                same_perm.append(candidate)
+                found.append(candidate)
+                if len(found) > cap:
+                    raise CapacityError(f"group closure exceeded cap {cap}")
+        # Filled in place, one element at a time: never a second copy of the group.
+        dense = np.fromiter((e.matrix() for e in found), dtype=np.dtype((complex, (prod(dims),) * 2)), count=len(found))
+        dense.flags.writeable = False
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "elements", dense)
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+closure = SymmetryGroup
 
 
 def _images(rho: DensityMatrix, group: SymmetryGroup):

@@ -338,6 +338,28 @@ class TestRunSym:
         assert "factor 1 is not unitary" in capsys.readouterr().err
 
 
+    def test_non_finite_local_factor_is_a_validation_error(self, tmp_path, capsys):
+        # NaN factors were accepted, and the closure stopped only at its cap of 1024 products
+        nan = tmp_path / "nan.json"
+        fileio.write_state(nan, np.full((2, 2), np.nan), (2,), kind=fileio.KIND_OPERATOR)
+        assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", f"local:{nan},{nan}"]) == cli.EXIT_VALIDATION
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "count, message",
+        [(1, "generator 0 acts on dims (2,), expected (2, 2)"), (0, "subsystem dimensions must all be >= 2")],
+        ids=["one-factor", "none"],
+    )
+    def test_wrong_local_factor_count_is_a_validation_error(self, tmp_path, capsys, count, message):
+        # the library's own checks refuse it; the CLI kept a copy of the count rule before
+        flip = tmp_path / "x.json"
+        fileio.write_state(flip, np.array([[0, 1], [1, 0]]), (2,), kind=fileio.KIND_OPERATOR)
+        spec = "local:" + ",".join([str(flip)] * count)
+        assert cli.main(["run", "--state", "bell", "--halt-cs", "1", "--sym", spec]) == cli.EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 class TestWitness:
     def test_unknown_state_is_an_argument_error(self):
         assert cli.main(["witness", "--state", "no_such_state", "--css", "max_entangled_css:2"]) == cli.EXIT_ARGS

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -431,6 +432,16 @@ class TestRun:
         group = closure([local_unitary([FLIP, np.eye(2)])], (2, 2))
         with pytest.raises(ValidationError, match="does not leave the target invariant"):
             run(BELL, HaltCriteria(max_trials=10), group=group, config=SamplerConfig(seed=0))
+
+    def test_group_that_is_not_a_closure_rejected(self):
+        # A CNOT-invariant entangled target and a stand-in group {I, CNOT} of dense matrices:
+        # CNOT maps product states to entangled ones, so the twirled iterate could be entangled.
+        psi = np.array([1, 0, 2**-0.5, 2**-0.5]) / np.sqrt(2)
+        target = DensityMatrix((2, 2), np.outer(psi, psi))
+        cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+        group = SimpleNamespace(dims=(2, 2), elements=np.stack([np.eye(4, dtype=complex), cnot]), order=2)
+        with pytest.raises(ValidationError, match="must be a SymmetryGroup"):
+            run(target, HaltCriteria(max_trials=10), group=group, config=SamplerConfig(seed=1))
 
     @pytest.mark.parametrize("init", [BELL, max_entangled(3)], ids=["bell", "max_entangled-3"])
     def test_entangled_init_rejected(self, init):

@@ -112,6 +112,12 @@ class TestContractParty:
         with pytest.raises(DimensionError):
             contract_party(np.eye(4, dtype=complex), 2, np.array([1, 0]), (2, 2))
 
+    @pytest.mark.parametrize("party", [True, False, 1.0, np.float64(0.0), "1", [1]], ids=repr)
+    def test_bool_or_non_integer_party_rejected(self, party):
+        # True pinned party 1; the others raised TypeError
+        with pytest.raises(DimensionError, match="party index"):
+            contract_party(np.eye(4, dtype=complex), party, np.array([1, 0]), (2, 2))
+
     def test_bad_vector_length(self):
         with pytest.raises(DimensionError):
             contract_party(np.eye(6, dtype=complex), 0, np.array([1, 0, 0]), (2, 3))
@@ -221,6 +227,12 @@ class TestCut:
     def test_repeated_or_out_of_range_party_rejected(self, cut):
         with pytest.raises(DimensionError, match="distinct party indices"):
             partial_transpose(maximally_mixed((2, 2)), cut)
+
+    @pytest.mark.parametrize("cut", [True, [False], (0, True), 1.0, np.float64(1.0)], ids=repr)
+    def test_bool_or_non_integer_party_rejected(self, cut):
+        # each raised TypeError, from numpy's transpose or from tuple(1.0)
+        with pytest.raises(DimensionError, match="distinct party indices"):
+            partial_transpose(bell(), cut)
 
     def test_numpy_integer_is_a_single_party(self):
         rho = random_density((2, 3), rng_for(24))

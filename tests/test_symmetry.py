@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import warnings
 from math import factorial
 
 import numpy as np
@@ -10,8 +12,10 @@ from sepdist import (
     DimensionError,
     ParameterError,
     PermutedLocal,
+    SepdistError,
     StateSampler,
     SamplerConfig,
+    SymmetryGroup,
     ValidationError,
     closure,
     ghz,
@@ -154,6 +158,20 @@ class TestClosure:
         with pytest.raises(DimensionError):
             closure([party_permutation((1, 0), (3, 3))], (2, 2))
 
+    def test_group_is_built_only_as_a_closure(self):
+        # SymmetryGroup(dims, elements) built this CNOT group unchecked, and a run under it
+        # returned an entangled iterate whose d2 bounded nothing
+        assert closure is SymmetryGroup
+        with pytest.raises(SepdistError):
+            SymmetryGroup((2, 2), np.stack([np.eye(4), CNOT]))
+
+    def test_group_cannot_be_changed(self):
+        group = closure([party_permutation((1, 0), (2, 2))], (2, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            group.elements = np.stack([np.eye(4), CNOT])
+        with pytest.raises(ValueError, match="read-only"):
+            group.elements[1] = CNOT
+
     def test_swap_and_locals_accepted(self):
         # swap, ZZ and swap.XX generate {I, XX, YY, ZZ} x {I, swap} up to phase
         swap = party_permutation((1, 0), (2, 2))
@@ -206,6 +224,14 @@ class TestPermutedLocal:
         # each was built unchecked before; only closure checked the factors and the permutation
         with pytest.raises(error):
             PermutedLocal(perm, factors)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_factor_rejected_without_a_warning(self, entry):
+        # NaN passed the unitarity test (every comparison with NaN is false), with a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="factor 0 has non-finite entries"):
+                local_unitary([np.full((2, 2), entry), I2])
 
     def test_products_of_a_nearly_unitary_factor_are_not_rechecked(self):
         # The factor's defect is 8.5e-11, under UNITARY_TOL; its square's is 1.7e-10, over it.
